@@ -358,18 +358,19 @@ func benchFleet(b *testing.B, n int) *fleet.Manager {
 // fleet-scale hot path.
 func benchFleetSweep(b *testing.B, hosts int) {
 	mgr := benchFleet(b, hosts)
-	mgr.ParallelInsideSweep() // prime host caches
+	// Prime host caches.
+	if _, err := mgr.SweepStreamed(fleet.SweepInside, 0, nil); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := mgr.ParallelInsideSweep()
-		if len(results) != hosts {
-			b.Fatalf("results = %d", len(results))
+		sum, err := mgr.SweepStreamed(fleet.SweepInside, 0, nil)
+		if err != nil {
+			b.Fatal(err)
 		}
-		for _, r := range results {
-			if r.Err != "" {
-				b.Fatalf("%s: %s", r.Host, r.Err)
-			}
+		if sum.Scanned != hosts || sum.Failed != 0 {
+			b.Fatalf("scanned %d of %d hosts, %d failed", sum.Scanned, hosts, sum.Failed)
 		}
 	}
 }

@@ -86,6 +86,13 @@ func main() {
 	os.Exit(code)
 }
 
+// fleetOnlyFlags are the options only a fleet sweep reads; the
+// single-machine path rejects them instead of ignoring them.
+var fleetOnlyFlags = []string{
+	"workers", "journal", "resume", "breaker", "abort-fraction",
+	"max-retries", "hedge", "shards", "shard-journal-dir",
+}
+
 // catalogOrdered lists every installable program: the paper's 12-sample
 // corpus followed by the extension adversaries, all from the shared
 // ghostware catalog.
@@ -145,6 +152,25 @@ func run(args []string) (int, error) {
 	}
 	if *hedge < 0 {
 		return exitUsage, fmt.Errorf("-hedge must be >= 0, got %s", *hedge)
+	}
+	// Options a mode cannot honour are rejected, never silently dropped.
+	if *fleetN <= 0 {
+		for _, name := range fleetOnlyFlags {
+			if explicit[name] {
+				return exitUsage, fmt.Errorf("-%s requires -fleet", name)
+			}
+		}
+	}
+	sharded := *shards > 0
+	switch {
+	case *shardJournalDir != "" && !sharded:
+		return exitUsage, fmt.Errorf("-shard-journal-dir requires -shards")
+	case *journalPath != "" && sharded:
+		return exitUsage, fmt.Errorf("-journal does not apply with -shards (use -shard-journal-dir)")
+	case *resume && sharded && *shardJournalDir == "":
+		return exitUsage, fmt.Errorf("-resume with -shards requires -shard-journal-dir")
+	case *resume && !sharded && *journalPath == "":
+		return exitUsage, fmt.Errorf("-resume requires -journal (or -shards with -shard-journal-dir)")
 	}
 
 	if *listProfiles {
@@ -213,12 +239,6 @@ func run(args []string) (int, error) {
 	if *verifyReport != "" {
 		return runVerifyReport(*verifyReport)
 	}
-	if *resume && *journalPath == "" && *shardJournalDir == "" {
-		return exitError, fmt.Errorf("-resume requires -journal (or -shards with -shard-journal-dir)")
-	}
-	if *shards > 0 && *fleetN <= 0 {
-		return exitError, fmt.Errorf("-shards requires -fleet")
-	}
 	if *fleetN > 0 {
 		opts := fleetOptions{
 			hosts: *fleetN, workers: *workers, infect: *infect,
@@ -229,7 +249,7 @@ func run(args []string) (int, error) {
 			watchdog: *watchdog, hedge: *hedge,
 			prof: prof,
 		}
-		if *shards > 0 {
+		if sharded {
 			return runShardedFleet(opts)
 		}
 		return runFleet(opts)
@@ -458,10 +478,10 @@ func runFleet(opts fleetOptions) (int, error) {
 	switch {
 	case opts.resume:
 		fmt.Fprintf(os.Stderr, "resuming journaled sweep from %s...\n", opts.journal)
-		rep, err = mgr.Resume(fleet.SweepInside, workers, opts.journal)
+		rep, err = mgr.Resume(fleet.SweepInside, workers, opts.journal, nil)
 	case opts.journal != "":
 		fmt.Fprintf(os.Stderr, "sweeping %d hosts (journal: %s)...\n", opts.hosts, opts.journal)
-		rep, err = mgr.SweepJournaled(fleet.SweepInside, workers, opts.journal)
+		rep, err = mgr.SweepJournaled(fleet.SweepInside, workers, opts.journal, nil)
 	default:
 		// Unjournaled sweeps reuse the durable path against a throwaway
 		// journal in the OS temp dir, so every fleet run is sealed.
@@ -472,7 +492,7 @@ func runFleet(opts fleetOptions) (int, error) {
 		tmp.Close()
 		defer os.Remove(tmp.Name())
 		fmt.Fprintf(os.Stderr, "sweeping %d hosts...\n", opts.hosts)
-		rep, err = mgr.SweepJournaled(fleet.SweepInside, workers, tmp.Name())
+		rep, err = mgr.SweepJournaled(fleet.SweepInside, workers, tmp.Name(), nil)
 	}
 	if err != nil {
 		return exitError, err
@@ -598,9 +618,6 @@ func runShardedFleet(opts fleetOptions) (int, error) {
 	}
 	var rep *fleetshard.Report
 	if opts.resume {
-		if opts.shardJournalDir == "" {
-			return exitError, fmt.Errorf("-resume with -shards requires -shard-journal-dir")
-		}
 		fmt.Fprintf(os.Stderr, "resuming sharded sweep from %s...\n", opts.shardJournalDir)
 		rep, err = coord.Resume()
 	} else {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ghostbuster/internal/fleet"
@@ -44,8 +45,8 @@ func TestUnknownScanKindErrors(t *testing.T) {
 }
 
 func TestResumeRequiresJournal(t *testing.T) {
-	if _, err := run([]string{"-fleet", "2", "-resume"}); err == nil {
-		t.Fatal("-resume without -journal should error")
+	if code, err := run([]string{"-fleet", "2", "-resume"}); err == nil || code != exitUsage {
+		t.Fatalf("-resume without -journal: code %d, err %v; want a usage error", code, err)
 	}
 }
 
@@ -164,5 +165,40 @@ func TestSupervisionFlags(t *testing.T) {
 	}
 	if code, err := run([]string{"-fleet", "3", "-hedge", "-1s"}); err == nil || code != exitUsage {
 		t.Fatalf("negative -hedge: code %d, err %v", code, err)
+	}
+}
+
+// TestFlagsRejectedOutsideTheirMode: an option the chosen mode cannot
+// honour is a usage error (exit 2) raised before any scan or journal
+// write, never silently ignored.
+func TestFlagsRejectedOutsideTheirMode(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "never.gbj")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workers", "2"}, "-workers requires -fleet"},
+		{[]string{"-journal", journal}, "-journal requires -fleet"},
+		{[]string{"-resume"}, "-resume requires -fleet"},
+		{[]string{"-breaker", "2"}, "-breaker requires -fleet"},
+		{[]string{"-abort-fraction", "0.5"}, "-abort-fraction requires -fleet"},
+		{[]string{"-max-retries", "1"}, "-max-retries requires -fleet"},
+		{[]string{"-hedge", "500ms"}, "-hedge requires -fleet"},
+		{[]string{"-shards", "2"}, "-shards requires -fleet"},
+		{[]string{"-shard-journal-dir", dir}, "-shard-journal-dir requires -fleet"},
+		{[]string{"-fleet", "2", "-shard-journal-dir", dir}, "-shard-journal-dir requires -shards"},
+		{[]string{"-fleet", "2", "-shards", "2", "-journal", journal}, "-journal does not apply with -shards"},
+		{[]string{"-fleet", "2", "-resume"}, "-resume requires -journal"},
+		{[]string{"-fleet", "2", "-shards", "2", "-resume"}, "-resume with -shards requires -shard-journal-dir"},
+	}
+	for _, c := range cases {
+		code, err := run(c.args)
+		if err == nil || code != exitUsage || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: code %d, err %v; want exit %d with %q", c.args, code, err, exitUsage, c.want)
+		}
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("a rejected invocation touched the journal: %v", err)
 	}
 }

@@ -85,7 +85,10 @@ func buildFleet(hosts int) (*fleet.Manager, error) {
 		}
 		mgr.Add(fmt.Sprintf("host-%04d", i), fm)
 	}
-	mgr.ParallelInsideSweep() // prime per-host caches
+	// Prime per-host caches.
+	if _, err := mgr.SweepStreamed(fleet.SweepInside, 0, nil); err != nil {
+		return nil, err
+	}
 	return mgr, nil
 }
 
@@ -93,15 +96,21 @@ func buildFleet(hosts int) (*fleet.Manager, error) {
 // summed per-host virtual cost.
 func timeFleetSweep(mgr *fleet.Manager, hosts int) (fleetBenchResult, error) {
 	res := fleetBenchResult{Hosts: hosts}
+	var hostErr error
 	start := time.Now()
-	results := mgr.ParallelInsideSweep()
-	res.SweepNs = int64(time.Since(start))
-	for _, r := range results {
-		if r.Err != "" {
-			return res, fmt.Errorf("fleet sweep: %s: %s", r.Host, r.Err)
+	sum, err := mgr.SweepStreamed(fleet.SweepInside, 0, func(r fleet.HostResult) {
+		if r.Err != "" && hostErr == nil {
+			hostErr = fmt.Errorf("fleet sweep: %s: %s", r.Host, r.Err)
 		}
-		res.VirtualNs += int64(r.Elapsed + r.RetryNs)
+	})
+	res.SweepNs = int64(time.Since(start))
+	if err == nil {
+		err = hostErr
 	}
+	if err != nil {
+		return res, err
+	}
+	res.VirtualNs = sum.VirtualNs
 	return res, nil
 }
 

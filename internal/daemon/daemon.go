@@ -78,14 +78,6 @@ type Config struct {
 	// sweeps: a shard missing its progress beacons is cancelled and its
 	// unfinished hosts re-homed onto surviving shards mid-sweep.
 	Watchdog supervise.Policy
-	// Hedge, when set, duplicates straggling scans in sharded sweeps.
-	// WARNING: the daemon serves its *live* registered machines to the
-	// shard coordinator, so a hedged duplicate scans the same resident
-	// machine concurrently with the straggler. That is only sound for
-	// fleets without evasive scan-watchers (concurrent scans can trip
-	// watcher state and diverge digests). Leave nil unless the fleet is
-	// known passive.
-	Hedge *fleet.HedgePolicy
 	// BackoffJitterSeed enables deterministic full jitter on shard/host
 	// retry backoff (0 keeps the legacy doubling schedule).
 	BackoffJitterSeed int64
@@ -584,9 +576,6 @@ func (d *Daemon) ActiveProfile() profile.Profile {
 	defer d.mu.Unlock()
 	return d.active
 }
-
-// ProfileStore exposes the daemon's profile store (import/export).
-func (d *Daemon) ProfileStore() *profile.Store { return d.store }
 
 // SwitchProfile makes the named profile active, through the
 // locked-profile transition rules (a lock follows the switch and

@@ -114,7 +114,7 @@ func TestDeltaSweepMatchesColdScanDigest(t *testing.T) {
 	prof := d.ActiveProfile()
 	prof.ConfigureManager(mgr)
 	mgr.Add("h", cold)
-	rep, err := mgr.SweepJournaled(fleet.SweepInside, prof.Workers, filepath.Join(t.TempDir(), "cold.gbj"))
+	rep, err := mgr.SweepJournaled(fleet.SweepInside, prof.Workers, filepath.Join(t.TempDir(), "cold.gbj"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestRemovableHotplugTriggersDeltaSweep(t *testing.T) {
 	prof := d.ActiveProfile()
 	prof.ConfigureManager(mgr)
 	mgr.Add("u", cold)
-	rep, err := mgr.SweepJournaled(fleet.SweepInside, prof.Workers, filepath.Join(t.TempDir(), "cold.gbj"))
+	rep, err := mgr.SweepJournaled(fleet.SweepInside, prof.Workers, filepath.Join(t.TempDir(), "cold.gbj"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,14 +164,9 @@ func (d *Daemon) runSweep(names []string, trigger string, now time.Time) (*Sweep
 	if sharded {
 		err = d.sweepSharded(info, prof, hostSet(hosts), false)
 	} else {
-		mgr := fleet.NewManager()
-		prof.ConfigureManager(mgr)
-		mgr.OnResult = d.resultSink(id, info)
-		for _, h := range hosts {
-			mgr.AddWithCache(h.name, h.m, h.cache)
-		}
+		mgr := d.newManager(prof, hosts)
 		var rep *fleet.Report
-		rep, err = mgr.SweepJournaled(fleet.SweepInside, prof.Workers, d.journalPath(id))
+		rep, err = mgr.SweepJournaled(fleet.SweepInside, prof.Workers, d.journalPath(id), d.resultSink(id, info))
 		if rep != nil {
 			info.Digest, info.Infected, info.Scanned, info.Aborted =
 				rep.Digest, rep.Infected(), len(rep.Results), rep.Aborted
@@ -195,6 +190,19 @@ func (d *Daemon) runSweep(names []string, trigger string, now time.Time) (*Sweep
 	}
 	d.commitSweep(info, trigger, pre)
 	return info, nil
+}
+
+// newManager builds the single fleet manager an unsharded sweep runs
+// through: the profile's knobs, the daemon's retry jitter, and each due
+// host enrolled with its long-lived scan cache.
+func (d *Daemon) newManager(prof profile.Profile, hosts []dueHost) *fleet.Manager {
+	mgr := fleet.NewManager()
+	prof.ConfigureManager(mgr)
+	mgr.BackoffJitterSeed = d.cfg.BackoffJitterSeed
+	for _, h := range hosts {
+		mgr.AddWithCache(h.name, h.m, h.cache)
+	}
+	return mgr
 }
 
 // dueHost is one host snapshot a sweep scans: the live machine, its
@@ -245,10 +253,8 @@ func (d *Daemon) shardConfig(id int, prof profile.Profile, info *SweepInfo) flee
 		AbortAfterFailureFraction: prof.AbortAfterFailureFraction,
 		ConfigureDetector:         prof.ConfigureDetector,
 		// Supervision knobs pass through verbatim; see the Config doc
-		// comments (Hedge in particular duplicates scans of the same
-		// resident machine).
+		// comments.
 		Watchdog:          d.cfg.Watchdog,
-		Hedge:             d.cfg.Hedge,
 		BackoffJitterSeed: d.cfg.BackoffJitterSeed,
 		OnResult:          func(_ int, res fleet.HostResult) { sink(res) },
 	}
@@ -274,7 +280,7 @@ func (d *Daemon) sweepSharded(info *SweepInfo, prof profile.Profile, src memSour
 	return err
 }
 
-// resultSink returns the OnResult hook for sweep id: it broadcasts each
+// resultSink returns the result sink for sweep id: it broadcasts each
 // committed result to API subscribers the moment it lands and records
 // the per-host last verdict. Fleet serializes the calls.
 func (d *Daemon) resultSink(id int, info *SweepInfo) func(fleet.HostResult) {
@@ -431,21 +437,17 @@ func (d *Daemon) resumeSweep(id int) (*SweepInfo, error) {
 	if meta.Sharded {
 		err = d.sweepSharded(info, prof, hostSet(hosts), true)
 	} else {
-		mgr := fleet.NewManager()
-		prof.ConfigureManager(mgr)
-		mgr.OnResult = d.resultSink(id, info)
-		for _, h := range hosts {
-			mgr.AddWithCache(h.name, h.m, h.cache)
-		}
+		mgr := d.newManager(prof, hosts)
+		sink := d.resultSink(id, info)
 		var rep *fleet.Report
-		rep, err = mgr.Resume(fleet.SweepInside, prof.Workers, d.journalPath(id))
+		rep, err = mgr.Resume(fleet.SweepInside, prof.Workers, d.journalPath(id), sink)
 		if errors.Is(err, fleet.ErrEmptyJournal) {
 			// Crash before the first journal commit: nothing to replay,
 			// restart the sweep from scratch under the same id.
 			if rmErr := os.Remove(d.journalPath(id)); rmErr != nil {
 				return nil, rmErr
 			}
-			rep, err = mgr.SweepJournaled(fleet.SweepInside, prof.Workers, d.journalPath(id))
+			rep, err = mgr.SweepJournaled(fleet.SweepInside, prof.Workers, d.journalPath(id), sink)
 		}
 		if rep != nil {
 			info.Digest, info.Infected, info.Scanned, info.Aborted =

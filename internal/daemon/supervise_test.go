@@ -241,8 +241,9 @@ func TestSubscriberChurnDuringSweeps(t *testing.T) {
 }
 
 // TestDaemonForwardsSupervisionKnobs: the daemon's shard config carries
-// the watchdog, hedge, and jitter settings through to the coordinator
-// verbatim.
+// the watchdog and jitter settings through to the coordinator verbatim,
+// and the manager behind an unsharded sweep gets the same jitter seed
+// alongside the profile's retry knobs.
 func TestDaemonForwardsSupervisionKnobs(t *testing.T) {
 	d := newDaemon(t, Config{
 		Seed:              7,
@@ -257,8 +258,14 @@ func TestDaemonForwardsSupervisionKnobs(t *testing.T) {
 	if cfg.BackoffJitterSeed != 99 {
 		t.Errorf("jitter seed not forwarded: %d", cfg.BackoffJitterSeed)
 	}
-	if cfg.Hedge != nil {
-		t.Errorf("nil hedge policy became %+v", cfg.Hedge)
+	prof := d.ActiveProfile()
+	mgr := d.newManager(prof, nil)
+	if mgr.BackoffJitterSeed != 99 {
+		t.Errorf("unsharded sweep dropped the jitter seed: %d", mgr.BackoffJitterSeed)
+	}
+	if mgr.MaxRetries != prof.MaxRetries || mgr.RetryBackoff != prof.RetryBackoff {
+		t.Errorf("unsharded manager retries %d/%v, want the profile's %d/%v",
+			mgr.MaxRetries, mgr.RetryBackoff, prof.MaxRetries, prof.RetryBackoff)
 	}
 }
 

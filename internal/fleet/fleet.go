@@ -14,7 +14,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -39,8 +38,8 @@ type Host struct {
 	cache *core.ScanCache
 
 	// build constructs the host's machine on demand (AddLazy). A lazy
-	// host is materialized when its scan starts and released after its
-	// result is committed in a streaming sweep, so a million-host shard
+	// host is materialized when its scan starts and released once its
+	// result stands, so a million-host shard
 	// never holds more than its in-flight machines resident.
 	build func() (*machine.Machine, error)
 }
@@ -95,8 +94,8 @@ type HostResult struct {
 	// too many consecutive failed attempts (across resumes), so the
 	// sweep stopped burning retry budget on it. See Report.Quarantined.
 	Quarantined bool `json:"quarantined,omitempty"`
-	// Hash is the content hash of this result (see ResultHash), set by
-	// journaled sweeps; it excludes timing and attempt accounting, so a
+	// Hash is the content hash of this result (see ResultHash), set
+	// when the result commits; it excludes timing and attempt accounting, so a
 	// replayed result hashes identically to the run that committed it.
 	Hash string `json:"hash,omitempty"`
 }
@@ -117,9 +116,6 @@ type Manager struct {
 	// dirty and every sweep entry point re-sorts lazily, so enrolling a
 	// million hosts is O(n log n) total instead of O(n² log n).
 	sorted bool
-	// Parallelism bounds the scheduler's worker pool for the parallel
-	// sweeps. Zero or negative means runtime.GOMAXPROCS(0).
-	Parallelism int
 	// HostParallelism is the intra-host fan-out: each inside scan runs
 	// its eight scan units across this many lanes (core.Detector
 	// Parallelism). Zero or one keeps per-host scans sequential.
@@ -143,8 +139,8 @@ type Manager struct {
 	// AbortAfterFailureFraction stops a sweep loudly once more than
 	// this fraction of the fleet has failed or been quarantined — a
 	// failure rate that high means the run itself is compromised, not
-	// the hosts. Zero disables the error budget. Only journaled sweeps
-	// (SweepJournaled/Resume) enforce it.
+	// the hosts. Zero disables the error budget. Results replayed from
+	// a journal count toward the budget like fresh ones.
 	AbortAfterFailureFraction float64
 	// ConfigureDetector, when set, customizes each inside scan's
 	// detector after the sweep defaults (Advanced, Contain, Cache,
@@ -154,12 +150,6 @@ type Manager struct {
 	// swaps the noise-filter set. Must be safe for concurrent calls;
 	// profile method values are.
 	ConfigureDetector func(d *core.Detector)
-	// OnResult, when set, receives every host result a journaled sweep
-	// commits, the moment it commits — fresh scans and hash-verified
-	// journal replays alike. Calls are serialized. The resident daemon
-	// streams these to its API subscribers while the sweep is still
-	// running.
-	OnResult func(HostResult)
 	// ScanHost, when set, replaces the real per-host scan body. It is
 	// the control-plane simulation seam: shard-scaling and million-host
 	// benchmarks exercise the scheduler, journal, and digest machinery
@@ -167,18 +157,19 @@ type Manager struct {
 	// machine build per host. Production sweeps leave it nil.
 	ScanHost func(h *Host, kind SweepKind) HostResult
 	// Resident, when set, tracks how many host results are in flight or
-	// awaiting aggregation at once — the bounded-memory gauge streaming
-	// sweeps pin in tests and benchmarks. A fleetshard coordinator
+	// awaiting aggregation at once — the bounded-memory gauge tests and
+	// benchmarks pin. A fleetshard coordinator
 	// shares one gauge across every shard manager it drives.
 	Resident *ResidentGauge
-	// Cancel, when non-nil, aborts a streaming sweep from outside once
-	// the channel closes: no new hosts are issued, in-flight scans are
+	// Cancel, when non-nil, aborts a sweep from outside once the
+	// channel closes: no new hosts are issued, in-flight scans are
 	// abandoned (their results discarded, never journaled), and the
-	// sweep returns a partial summary marked Interrupted with the
+	// sweep returns a partial outcome — a summary marked Interrupted, or
+	// a Report listing the abandoned hosts as NotScanned — with the
 	// journal sealed at the last committed record. This is the seam the
 	// fleetshard watchdog cancels a wedged shard through.
 	Cancel <-chan struct{}
-	// Hedge, when set, enables straggler hedging in streaming sweeps: a
+	// Hedge, when set, enables straggler hedging: a
 	// host scan that outlives the policy threshold gets a duplicate scan
 	// on a clone of the host, and the first result to seal wins. See
 	// HedgePolicy for the digest-equality rules.
@@ -216,9 +207,6 @@ func NextBackoff(cur time.Duration) time.Duration {
 	}
 	return cur * 2
 }
-
-// nextBackoff is the package-internal alias retained for the retry loop.
-func nextBackoff(cur time.Duration) time.Duration { return NextBackoff(cur) }
 
 // JitteredBackoff maps a deterministic backoff wait to its full-jitter
 // form: a uniform sample in [1, cur] drawn from the shared splitmix64
@@ -434,19 +422,15 @@ func resultCancelled(res *HostResult) bool {
 	return false
 }
 
-// runHost scans one host with bounded retry: a failed or degraded
+// runHostFrom scans one host with bounded retry: a failed or degraded
 // attempt is retried after a doubling virtual-time backoff, up to
 // MaxRetries extra attempts. The returned result is the final attempt's;
 // vtime burned by abandoned attempts and backoff waits accumulates in
-// RetryNs so Elapsed never double-charges a host.
-func (mgr *Manager) runHost(h *Host, kind SweepKind) HostResult {
-	return mgr.runHostFrom(h, kind, 0, 0, nil)
-}
-
-// runHostFrom is runHost continuing from journaled history: attempt
-// numbering starts after priorAttempts and the circuit breaker counts
-// priorFailed dangling attempts from before the crash. onAttempt, when
-// set, commits each attempt start to the journal before it runs.
+// RetryNs so Elapsed never double-charges a host. Attempt numbering
+// continues from journaled history: it starts after priorAttempts, and
+// the circuit breaker counts priorFailed dangling attempts from before
+// a crash. onAttempt, when set, commits each attempt start to the
+// journal before it runs.
 func (mgr *Manager) runHostFrom(h *Host, kind SweepKind, priorAttempts, priorFailed int, onAttempt func(attempt int)) HostResult {
 	backoff := mgr.RetryBackoff
 	if backoff <= 0 {
@@ -494,38 +478,22 @@ func (mgr *Manager) runHostFrom(h *Host, kind SweepKind, priorAttempts, priorFai
 		if h.M != nil { // synthetic hosts have no machine clock to wait on
 			h.M.Clock.Advance(wait)
 		}
-		backoff = nextBackoff(backoff)
+		backoff = NextBackoff(backoff)
 	}
 }
 
 // --- bounded scheduler ----------------------------------------------------
 
-type indexedResult struct {
-	i int
-	r HostResult
-}
-
-// schedule fans scan out over the fleet with at most `workers`
-// goroutines and streams completions. This is the single scan loop every
-// sweep flavor goes through: the sequential sweeps run it with one
-// worker, the parallel sweeps with the configured bound. A panicking
-// host scan is captured as that host's error instead of tearing down the
-// whole sweep.
-func (mgr *Manager) schedule(workers int, scan func(*Host) HostResult) <-chan indexedResult {
-	mgr.ensureSorted()
-	indices := make([]int, len(mgr.hosts))
-	for i := range indices {
-		indices[i] = i
-	}
-	return mgr.scheduleHosts(workers, indices, nil, scan)
-}
-
-// scheduleHosts is the scheduler core: it fans scan over the given
-// host indices only, and stops issuing new hosts once stop is closed
-// (in-flight scans still complete and report). Journaled sweeps use
-// the subset form to skip hosts already committed in the journal, and
-// stop to enforce the fleet error budget.
-func (mgr *Manager) scheduleHosts(workers int, indices []int, stop <-chan struct{}, scan func(*Host) HostResult) <-chan indexedResult {
+// scheduleHosts is the only place hosts are handed to workers: it fans
+// scan over the given host indices with at most `workers` goroutines
+// (0 means runtime.GOMAXPROCS(0)) and streams completions, so a sweep
+// costs a fixed number of goroutines however large the fleet. It stops
+// issuing new hosts once stop is closed (in-flight scans still complete
+// and report). sweepStream passes the subset of hosts the journal has
+// not committed, and closes stop for the error budget and Cancel. A
+// panicking host scan becomes that host's error result instead of
+// tearing down the sweep.
+func (mgr *Manager) scheduleHosts(workers int, indices []int, stop <-chan struct{}, scan func(*Host) HostResult) <-chan HostResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -533,14 +501,14 @@ func (mgr *Manager) scheduleHosts(workers int, indices []int, stop <-chan struct
 		workers = len(indices)
 	}
 	jobs := make(chan int)
-	out := make(chan indexedResult)
+	out := make(chan HostResult)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out <- indexedResult{i: i, r: capturedScan(mgr.hosts[i], scan)}
+				out <- capturedScan(mgr.hosts[i], scan)
 			}
 		}()
 	}
@@ -570,82 +538,4 @@ func capturedScan(h *Host, scan func(*Host) HostResult) (res HostResult) {
 		}
 	}()
 	return scan(h)
-}
-
-// Sweep runs the given sweep kind over every host with at most `workers`
-// concurrent host scans (0 means runtime.GOMAXPROCS(0)) and returns the
-// results in host order.
-func (mgr *Manager) Sweep(kind SweepKind, workers int) []HostResult {
-	results := make([]HostResult, len(mgr.hosts))
-	for ir := range mgr.schedule(workers, func(h *Host) HostResult { return mgr.runHost(h, kind) }) {
-		results[ir.i] = ir.r
-	}
-	return results
-}
-
-// SweepStream is Sweep without the ordering barrier: results arrive on
-// the returned channel as hosts complete, so a management console can
-// act on early completions while a large fleet is still scanning. The
-// channel closes after the last host.
-func (mgr *Manager) SweepStream(kind SweepKind, workers int) <-chan HostResult {
-	out := make(chan HostResult)
-	go func() {
-		for ir := range mgr.schedule(workers, func(h *Host) HostResult { return mgr.runHost(h, kind) }) {
-			out <- ir.r
-		}
-		close(out)
-	}()
-	return out
-}
-
-// InsideSweep runs the inside-the-box detection on every host, one at a
-// time. Hosts keep running; this is the "scan their machines daily"
-// mode.
-func (mgr *Manager) InsideSweep() []HostResult { return mgr.Sweep(SweepInside, 1) }
-
-// ParallelInsideSweep runs the inside sweep through the bounded
-// scheduler at the manager's configured parallelism. Each simulated
-// machine is single-threaded, but distinct machines are independent, so
-// the management console fans out across the fleet the way a real
-// deployment does — at fixed goroutine cost. Results come back in host
-// order.
-func (mgr *Manager) ParallelInsideSweep() []HostResult {
-	return mgr.Sweep(SweepInside, mgr.Parallelism)
-}
-
-// OutsideSweep runs the RIS-automated outside-the-box file check on
-// every host, one at a time.
-func (mgr *Manager) OutsideSweep() []HostResult { return mgr.Sweep(SweepOutside, 1) }
-
-// ParallelOutsideSweep runs the outside sweep through the bounded
-// scheduler at the manager's configured parallelism.
-func (mgr *Manager) ParallelOutsideSweep() []HostResult {
-	return mgr.Sweep(SweepOutside, mgr.Parallelism)
-}
-
-// Summary aggregates sweep results.
-type Summary struct {
-	Hosts    int      `json:"hosts"`
-	Infected []string `json:"infected"`
-	Errors   []string `json:"errors,omitempty"`
-}
-
-// Summarize builds the fleet-level verdict.
-func Summarize(results []HostResult) Summary {
-	s := Summary{Hosts: len(results)}
-	for _, r := range results {
-		if r.Err != "" {
-			s.Errors = append(s.Errors, fmt.Sprintf("%s: %s", r.Host, r.Err))
-			continue
-		}
-		if r.Infected {
-			s.Infected = append(s.Infected, r.Host)
-		}
-	}
-	return s
-}
-
-// MarshalResults renders results as JSON for the management console.
-func MarshalResults(results []HostResult) ([]byte, error) {
-	return json.MarshalIndent(results, "", "  ")
 }

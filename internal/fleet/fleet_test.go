@@ -3,6 +3,8 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -36,24 +38,54 @@ func buildFleet(t *testing.T, n int, infect map[int]ghostware.Ghostware) *Manage
 
 func hostName(i int) string { return "host-" + string(rune('a'+i)) }
 
+// sweepResults runs an unjournaled sweep and returns every committed
+// result in host order.
+func sweepResults(t testing.TB, mgr *Manager, kind SweepKind, workers int) []HostResult {
+	t.Helper()
+	var results []HostResult
+	if _, err := mgr.SweepStreamed(kind, workers, func(res HostResult) { results = append(results, res) }); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(results, func(i, j int) bool { return results[i].Host < results[j].Host })
+	return results
+}
+
+// verdicts lists the infected hosts and the per-host errors of a sweep.
+func verdicts(results []HostResult) (infected, errs []string) {
+	for _, r := range results {
+		if r.Err != "" {
+			errs = append(errs, fmt.Sprintf("%s: %s", r.Host, r.Err))
+			continue
+		}
+		if r.Infected {
+			infected = append(infected, r.Host)
+		}
+	}
+	return infected, errs
+}
+
 func TestInsideSweepClassifiesFleet(t *testing.T) {
 	mgr := buildFleet(t, 4, map[int]ghostware.Ghostware{
 		1: ghostware.NewHackerDefender(),
 		3: ghostware.NewUrbin(),
 	})
-	results := mgr.InsideSweep()
+	var results []HostResult
+	sum, err := mgr.SweepStreamed(SweepInside, 1, func(res HostResult) { results = append(results, res) })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
-	s := Summarize(results)
-	if s.Hosts != 4 || len(s.Errors) != 0 {
-		t.Fatalf("summary = %+v", s)
+	infected, errs := verdicts(results)
+	if sum.Hosts != 4 || len(errs) != 0 {
+		t.Fatalf("summary = %+v, errors = %v", sum, errs)
 	}
 	want := map[string]bool{hostName(1): true, hostName(3): true}
-	if len(s.Infected) != 2 {
-		t.Fatalf("infected = %v", s.Infected)
+	if len(infected) != 2 || sum.Infected != 2 {
+		t.Fatalf("infected = %v", infected)
 	}
-	for _, h := range s.Infected {
+	for _, h := range infected {
 		if !want[h] {
 			t.Errorf("false positive host %s", h)
 		}
@@ -67,10 +99,9 @@ func TestInsideSweepClassifiesFleet(t *testing.T) {
 
 func TestOutsideSweepRebootsHostsBack(t *testing.T) {
 	mgr := buildFleet(t, 2, map[int]ghostware.Ghostware{0: ghostware.NewVanquish()})
-	results := mgr.OutsideSweep()
-	s := Summarize(results)
-	if len(s.Infected) != 1 || s.Infected[0] != hostName(0) {
-		t.Fatalf("infected = %v", s.Infected)
+	infected, _ := verdicts(sweepResults(t, mgr, SweepOutside, 1))
+	if len(infected) != 1 || infected[0] != hostName(0) {
+		t.Fatalf("infected = %v", infected)
 	}
 	// Every host is back in service after the netboot scan.
 	for i := 0; i < 2; i++ {
@@ -92,19 +123,24 @@ func mgrHost(t *testing.T, mgr *Manager, name string) *machine.Machine {
 	return nil
 }
 
-func TestMarshalResultsIsValidJSON(t *testing.T) {
+// TestReportJSONRoundTrip: the report the management console reads
+// renders as JSON and round-trips without losing hosts or verdicts.
+func TestReportJSONRoundTrip(t *testing.T) {
 	mgr := buildFleet(t, 2, map[int]ghostware.Ghostware{1: ghostware.NewBerbew()})
-	results := mgr.InsideSweep()
-	data, err := MarshalResults(results)
+	rep, err := mgr.SweepJournaled(SweepInside, 1, filepath.Join(t.TempDir(), "sweep.gbj"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back []HostResult
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Report
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if len(back) != 2 {
-		t.Errorf("round trip lost hosts: %d", len(back))
+	if len(back.Results) != 2 {
+		t.Errorf("round trip lost hosts: %d", len(back.Results))
 	}
 	if !strings.Contains(string(data), `"infected": true`) {
 		t.Error("JSON missing infection flag")
@@ -121,11 +157,9 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 			4: ghostware.NewVanquish(),
 		})
 	}
-	seq := build().InsideSweep()
+	seq := sweepResults(t, build(), SweepInside, 1)
 	for _, workers := range []int{1, 4, 64} {
-		mgr := build()
-		mgr.Parallelism = workers
-		par := mgr.ParallelInsideSweep()
+		par := sweepResults(t, build(), SweepInside, workers)
 		if len(seq) != len(par) {
 			t.Fatalf("workers=%d: result counts differ: %d vs %d", workers, len(seq), len(par))
 		}
@@ -138,23 +172,12 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// tinyFleet builds n minimal hosts cheaply (small format headroom, no
-// population) for scheduler-focused tests.
-func tinyFleet(t testing.TB, n int) *Manager {
-	t.Helper()
+// tinyFleet enrolls n machineless hosts for scheduler-focused tests,
+// which drive them through the ScanHost seam.
+func tinyFleet(n int) *Manager {
 	mgr := NewManager()
 	for i := 0; i < n; i++ {
-		p := machine.DefaultProfile()
-		p.DiskUsedGB = 0.05
-		p.Churn = nil
-		p.Seed = int64(i + 1)
-		p.MFTHeadroom = 64
-		p.ClusterHeadroom = 64
-		m, err := machine.New(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgr.Add(fmt.Sprintf("host-%03d", i), m)
+		mgr.AddLazy(fmt.Sprintf("host-%03d", i), nil)
 	}
 	return mgr
 }
@@ -162,10 +185,10 @@ func tinyFleet(t testing.TB, n int) *Manager {
 // TestSchedulerBoundsConcurrency: at parallelism k, no more than k host
 // scans may ever be in flight, regardless of fleet size.
 func TestSchedulerBoundsConcurrency(t *testing.T) {
-	mgr := tinyFleet(t, 16)
+	mgr := tinyFleet(16)
 	const workers = 3
 	var inFlight, peak int32
-	for ir := range mgr.schedule(workers, func(h *Host) HostResult {
+	mgr.ScanHost = func(h *Host, _ SweepKind) HostResult {
 		cur := atomic.AddInt32(&inFlight, 1)
 		for {
 			old := atomic.LoadInt32(&peak)
@@ -176,8 +199,9 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		atomic.AddInt32(&inFlight, -1)
 		return HostResult{Host: h.Name}
-	}) {
-		_ = ir
+	}
+	if _, err := mgr.SweepStreamed(SweepInside, workers, nil); err != nil {
+		t.Fatal(err)
 	}
 	if p := atomic.LoadInt32(&peak); p > workers {
 		t.Fatalf("concurrency peaked at %d, bound is %d", p, workers)
@@ -190,19 +214,22 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 // TestSchedulerCapturesPanics: one exploding host must not take down the
 // sweep; it becomes that host's error result.
 func TestSchedulerCapturesPanics(t *testing.T) {
-	mgr := tinyFleet(t, 4)
+	mgr := tinyFleet(4)
 	n := 0
 	var failed string
-	for ir := range mgr.schedule(2, func(h *Host) HostResult {
+	mgr.ScanHost = func(h *Host, _ SweepKind) HostResult {
 		if h.Name == "host-002" {
 			panic("disk on fire")
 		}
 		return HostResult{Host: h.Name}
-	}) {
+	}
+	if _, err := mgr.SweepStreamed(SweepInside, 2, func(r HostResult) {
 		n++
-		if ir.r.Err != "" {
-			failed = ir.r.Host + ": " + ir.r.Err
+		if r.Err != "" {
+			failed = r.Host + ": " + r.Err
 		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if n != 4 {
 		t.Fatalf("sweep lost results: %d of 4", n)
@@ -212,17 +239,19 @@ func TestSchedulerCapturesPanics(t *testing.T) {
 	}
 }
 
-// TestSweepStreamDeliversAllHosts: the streaming variant yields every
-// host exactly once and closes.
+// TestSweepStreamDeliversAllHosts: the streamed sweep's sink receives
+// every host exactly once.
 func TestSweepStreamDeliversAllHosts(t *testing.T) {
 	mgr := buildFleet(t, 3, map[int]ghostware.Ghostware{2: ghostware.NewVanquish()})
 	seen := map[string]int{}
 	infected := 0
-	for r := range mgr.SweepStream(SweepInside, 4) {
+	if _, err := mgr.SweepStreamed(SweepInside, 4, func(r HostResult) {
 		seen[r.Host]++
 		if r.Infected {
 			infected++
 		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if len(seen) != 3 {
 		t.Fatalf("stream delivered %d hosts, want 3", len(seen))
@@ -244,8 +273,8 @@ func TestSweepStreamDeliversAllHosts(t *testing.T) {
 // more, and the verdicts must not drift.
 func TestWarmSweepCostsLessVirtualTime(t *testing.T) {
 	mgr := buildFleet(t, 3, map[int]ghostware.Ghostware{1: ghostware.NewHackerDefender()})
-	cold := mgr.InsideSweep()
-	warm := mgr.InsideSweep()
+	cold := sweepResults(t, mgr, SweepInside, 1)
+	warm := sweepResults(t, mgr, SweepInside, 1)
 	for i := range cold {
 		if warm[i].Infected != cold[i].Infected || warm[i].Hidden != cold[i].Hidden {
 			t.Errorf("host %s verdict drifted between sweeps", cold[i].Host)
@@ -260,10 +289,10 @@ func TestWarmSweepCostsLessVirtualTime(t *testing.T) {
 // TestEmptyFleetSweeps: scheduling over zero hosts terminates cleanly.
 func TestEmptyFleetSweeps(t *testing.T) {
 	mgr := NewManager()
-	if got := mgr.ParallelInsideSweep(); len(got) != 0 {
+	if got := sweepResults(t, mgr, SweepInside, 0); len(got) != 0 {
 		t.Fatalf("results = %v", got)
 	}
-	if got := mgr.OutsideSweep(); len(got) != 0 {
+	if got := sweepResults(t, mgr, SweepOutside, 1); len(got) != 0 {
 		t.Fatalf("results = %v", got)
 	}
 }
@@ -274,10 +303,8 @@ func TestParallelOutsideSweepMatchesSequential(t *testing.T) {
 	build := func() *Manager {
 		return buildFleet(t, 3, map[int]ghostware.Ghostware{0: ghostware.NewVanquish()})
 	}
-	seq := build().OutsideSweep()
-	mgr := build()
-	mgr.Parallelism = 4
-	par := mgr.ParallelOutsideSweep()
+	seq := sweepResults(t, build(), SweepOutside, 1)
+	par := sweepResults(t, build(), SweepOutside, 4)
 	for i := range seq {
 		if seq[i].Host != par[i].Host || seq[i].Infected != par[i].Infected {
 			t.Errorf("host %s: seq inf=%v vs par inf=%v", seq[i].Host, seq[i].Infected, par[i].Infected)
@@ -293,18 +320,17 @@ func TestParallelOutsideSweepMatchesSequential(t *testing.T) {
 // exactly like the per-host sequential sweep.
 func TestHostParallelismSweepMatchesSequential(t *testing.T) {
 	infections := map[int]ghostware.Ghostware{1: ghostware.NewHackerDefender()}
-	want := Summarize(buildFleet(t, 3, infections).InsideSweep())
+	wantInfected, _ := verdicts(sweepResults(t, buildFleet(t, 3, infections), SweepInside, 1))
 
 	mgr := buildFleet(t, 3, infections)
-	mgr.Parallelism = 2
 	mgr.HostParallelism = 4
-	results := mgr.ParallelInsideSweep()
-	got := Summarize(results)
-	if len(got.Errors) != 0 {
-		t.Fatalf("errors = %v", got.Errors)
+	results := sweepResults(t, mgr, SweepInside, 2)
+	infected, errs := verdicts(results)
+	if len(errs) != 0 {
+		t.Fatalf("errors = %v", errs)
 	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("parallel-host summary %+v != sequential %+v", got, want)
+	if fmt.Sprint(infected) != fmt.Sprint(wantInfected) {
+		t.Errorf("parallel-host infected %v != sequential %v", infected, wantInfected)
 	}
 	for _, r := range results {
 		if len(r.Reports) != 4 {

@@ -12,8 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"ghostbuster/internal/core"
 	"ghostbuster/internal/journal"
@@ -176,24 +174,17 @@ type hostReplay struct {
 }
 
 // SweepJournaled runs a sweep recording every host state transition to
-// a fresh journal at path, and returns the merged, sealed report. The
-// journal file is left behind deliberately: it is the recovery point
-// if this process dies, and the audit trail if it does not.
-func (mgr *Manager) SweepJournaled(kind SweepKind, workers int, path string) (*Report, error) {
-	j, err := journal.Create(path)
+// a fresh journal at path, offers each committed result to sink (which
+// may be nil), and returns the merged, sealed report. The journal file
+// is left behind deliberately: it is the recovery point if this process
+// dies, and the audit trail if it does not.
+func (mgr *Manager) SweepJournaled(kind SweepKind, workers int, path string, sink func(HostResult)) (*Report, error) {
+	j, err := mgr.createJournal(kind, path)
 	if err != nil {
 		return nil, err
 	}
 	defer j.Close()
-	if _, err := j.Append(journal.Record{State: journal.StateSweep, Kind: string(kind), Hosts: mgr.Hosts()}); err != nil {
-		return nil, err
-	}
-	for _, h := range mgr.hosts {
-		if _, err := j.Append(journal.Record{State: journal.StateScheduled, Host: h.Name}); err != nil {
-			return nil, err
-		}
-	}
-	return mgr.sweepJournaled(kind, workers, j, nil)
+	return mgr.sweepReport(kind, workers, j, nil, sink)
 }
 
 // Resume continues an interrupted journaled sweep. The journal is
@@ -202,19 +193,92 @@ func (mgr *Manager) SweepJournaled(kind SweepKind, workers int, path string) (*R
 // content hashes and replayed without re-scanning, and hosts that were
 // scheduled or in flight at the crash are re-run — with attempt
 // numbering and the circuit breaker's failure count continuing across
-// the crash boundary. The merged report covers the whole sweep, both
-// halves of the crash.
-func (mgr *Manager) Resume(kind SweepKind, workers int, path string) (*Report, error) {
-	j, rec, err := journal.Open(path)
+// the crash boundary. Every committed result, replayed or fresh, is
+// offered to sink (which may be nil). The merged report covers the
+// whole sweep, both halves of the crash.
+func (mgr *Manager) Resume(kind SweepKind, workers int, path string, sink func(HostResult)) (*Report, error) {
+	j, replay, err := mgr.openJournal(kind, path)
 	if err != nil {
 		return nil, err
 	}
 	defer j.Close()
-	replay, err := mgr.analyzeJournal(kind, rec.Records)
+	return mgr.sweepReport(kind, workers, j, replay, sink)
+}
+
+// createJournal creates a fresh sweep journal at path and commits its
+// header and one scheduled record per host.
+func (mgr *Manager) createJournal(kind SweepKind, path string) (*journal.Journal, error) {
+	j, err := journal.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return mgr.sweepJournaled(kind, workers, j, replay)
+	if _, err := j.Append(journal.Record{State: journal.StateSweep, Kind: string(kind), Hosts: mgr.Hosts()}); err != nil {
+		j.Close()
+		return nil, err
+	}
+	for _, h := range mgr.hosts {
+		if _, err := j.Append(journal.Record{State: journal.StateScheduled, Host: h.Name}); err != nil {
+			j.Close()
+			return nil, err
+		}
+	}
+	return j, nil
+}
+
+// openJournal opens an existing sweep journal for appending and folds
+// its records into per-host replay state (see analyzeJournal).
+func (mgr *Manager) openJournal(kind SweepKind, path string) (*journal.Journal, map[string]*hostReplay, error) {
+	j, rec, err := journal.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	replay, err := mgr.analyzeJournal(kind, rec.Records)
+	if err != nil {
+		j.Close()
+		return nil, nil, err
+	}
+	return j, replay, nil
+}
+
+// sweepReport runs sweepStream with a sink that keeps every committed
+// result, then merges them in host order into the sealed Report: the
+// hosts the journal replayed and the hosts an abort or cancel left
+// unvisited are listed, not silently absent.
+func (mgr *Manager) sweepReport(kind SweepKind, workers int, j *journal.Journal, replay map[string]*hostReplay, sink func(HostResult)) (*Report, error) {
+	mgr.ensureSorted()
+	rep := &Report{Kind: kind}
+	for _, h := range mgr.hosts {
+		// Read before sweepStream, which frees each replayed result as it
+		// folds it.
+		if hr := replay[h.Name]; hr != nil && hr.committed != nil {
+			rep.Replayed = append(rep.Replayed, h.Name)
+		}
+	}
+	committed := make(map[string]HostResult, len(mgr.hosts))
+	sum, err := mgr.sweepStream(kind, workers, j, replay, func(res HostResult) {
+		committed[res.Host] = res
+		if sink != nil {
+			sink(res)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.Aborted, rep.AbortReason = sum.Aborted, sum.AbortReason
+	rep.Results = make([]HostResult, 0, len(committed))
+	for _, h := range mgr.hosts {
+		res, ok := committed[h.Name]
+		if !ok {
+			rep.NotScanned = append(rep.NotScanned, h.Name)
+			continue
+		}
+		rep.Results = append(rep.Results, res)
+		if res.Quarantined {
+			rep.Quarantined = append(rep.Quarantined, h.Name)
+		}
+	}
+	rep.Seal()
+	return rep, nil
 }
 
 // analyzeJournal validates the journal against this manager's sweep
@@ -297,124 +361,4 @@ func terminalState(res HostResult) journal.State {
 	default:
 		return journal.StateDone
 	}
-}
-
-// sweepJournaled is the shared body of SweepJournaled and Resume: scan
-// every host without a committed terminal record, journal transitions,
-// enforce the error budget, and merge the halves into a sealed report.
-func (mgr *Manager) sweepJournaled(kind SweepKind, workers int, j *journal.Journal, replay map[string]*hostReplay) (*Report, error) {
-	mgr.ensureSorted()
-	rep := &Report{Kind: kind}
-	results := make([]HostResult, len(mgr.hosts))
-	scanned := make([]bool, len(mgr.hosts))
-	var toRun []int
-	failed := 0
-	for i, h := range mgr.hosts {
-		hr := replay[h.Name]
-		if hr != nil && hr.committed != nil {
-			results[i] = *hr.committed
-			scanned[i] = true
-			rep.Replayed = append(rep.Replayed, h.Name)
-			if results[i].Err != "" || results[i].Quarantined {
-				failed++
-			}
-			if mgr.OnResult != nil {
-				mgr.OnResult(results[i])
-			}
-			continue
-		}
-		toRun = append(toRun, i)
-	}
-
-	// Journal appends happen on worker goroutines; the first write
-	// failure aborts the sweep loudly — a sweep that cannot commit its
-	// progress must not pretend to be durable.
-	var (
-		appendErrOnce sync.Once
-		appendErr     error
-		stop          = make(chan struct{})
-		stopOnce      sync.Once
-	)
-	halt := func(err error) {
-		appendErrOnce.Do(func() { appendErr = err })
-		stopOnce.Do(func() { close(stop) })
-	}
-	append_ := func(rec journal.Record) {
-		if _, err := j.Append(rec); err != nil {
-			halt(err)
-		}
-	}
-
-	scan := func(h *Host) HostResult {
-		var prior hostReplay
-		if hr := replay[h.Name]; hr != nil {
-			prior = *hr
-		}
-		res := mgr.runHostFrom(h, kind, prior.attempts, prior.dangling, func(attempt int) {
-			append_(journal.Record{State: journal.StateRunning, Host: h.Name, Attempt: attempt})
-		})
-		return res
-	}
-
-	total := len(mgr.hosts)
-	for ir := range mgr.scheduleHosts(workers, toRun, stop, scan) {
-		res := ir.r
-		if res.Kind == "" {
-			res.Kind = kind // panic-captured results carry only Host and Err
-		}
-		res.Hash = ResultHash(res)
-		results[ir.i] = res
-		scanned[ir.i] = true
-		if mgr.OnResult != nil {
-			mgr.OnResult(res)
-		}
-		state := terminalState(res)
-		resJSON, err := json.Marshal(res)
-		if err != nil {
-			halt(fmt.Errorf("fleet: marshal result for %s: %w", res.Host, err))
-			continue
-		}
-		rec := journal.Record{
-			State: state, Host: res.Host, Attempt: res.Attempts,
-			ElapsedNs: int64(res.Elapsed), RetryNs: int64(res.RetryNs),
-			ResultHash: res.Hash, Result: resJSON,
-		}
-		if res.Quarantined {
-			rec.Reason = fmt.Sprintf("circuit breaker open: %d consecutive failed attempts", mgr.BreakerThreshold)
-		}
-		append_(rec)
-		if res.Err != "" || res.Quarantined {
-			failed++
-			if f := mgr.AbortAfterFailureFraction; f > 0 && float64(failed) > f*float64(total) && !rep.Aborted {
-				rep.Aborted = true
-				rep.AbortReason = fmt.Sprintf("error budget exceeded: %d of %d hosts failed (budget %.0f%%) — aborting sweep",
-					failed, total, f*100)
-				append_(journal.Record{State: journal.StateAborted, Reason: rep.AbortReason})
-				stopOnce.Do(func() { close(stop) })
-			}
-		}
-	}
-	if appendErr != nil {
-		return nil, appendErr
-	}
-
-	// Merge: completed hosts in host order; the abort's unvisited hosts
-	// listed, not silently absent.
-	merged := make([]HostResult, 0, total)
-	for i, h := range mgr.hosts {
-		if !scanned[i] {
-			rep.NotScanned = append(rep.NotScanned, h.Name)
-			continue
-		}
-		merged = append(merged, results[i])
-		if results[i].Quarantined {
-			rep.Quarantined = append(rep.Quarantined, h.Name)
-		}
-	}
-	rep.Results = merged
-	sort.Strings(rep.Quarantined)
-	sort.Strings(rep.Replayed)
-	sort.Strings(rep.NotScanned)
-	rep.Seal()
-	return rep, nil
 }

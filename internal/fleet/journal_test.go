@@ -64,7 +64,7 @@ func truncateAfterRunning(t *testing.T, path string, host string) {
 func TestJournaledSweepRecordsAndSeals(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
 	mgr := journaledFleet(t)
-	rep, err := mgr.SweepJournaled(SweepInside, 1, path)
+	rep, err := mgr.SweepJournaled(SweepInside, 1, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestResumeReplaysCommittedHosts(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "sweep.gbj")
-			full, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path)
+			full, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestResumeReplaysCommittedHosts(t *testing.T) {
 
 			mgr2 := journaledFleet(t)
 			clockBefore := mgrHost(t, mgr2, hostName(0)).Clock.Now()
-			resumed, err := mgr2.Resume(SweepInside, 1, path)
+			resumed, err := mgr2.Resume(SweepInside, 1, path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,13 +176,13 @@ func TestResumeReplaysCommittedHosts(t *testing.T) {
 // carried forward, so the crash shows up in the accounting.
 func TestResumeContinuesAttemptNumbering(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
-	if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path); err != nil {
+	if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Crash with host c in flight: its running record committed, its
 	// terminal record lost.
 	truncateAfterRunning(t, path, hostName(2))
-	resumed, err := journaledFleet(t).Resume(SweepInside, 1, path)
+	resumed, err := journaledFleet(t).Resume(SweepInside, 1, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestResumeRejectsTamperedResult(t *testing.T) {
 	build := func(t *testing.T, mutate func(*journal.Record, *HostResult)) string {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "sweep.gbj")
-		if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path); err != nil {
+		if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path, nil); err != nil {
 			t.Fatal(err)
 		}
 		recs, _, err := journal.Read(path)
@@ -265,7 +265,7 @@ func TestResumeRejectsTamperedResult(t *testing.T) {
 			res.Infected = false
 			res.Hidden = 0
 		})
-		_, err := journaledFleet(t).Resume(SweepInside, 1, path)
+		_, err := journaledFleet(t).Resume(SweepInside, 1, path, nil)
 		if err == nil || !strings.Contains(err.Error(), "hash verification") {
 			t.Fatalf("tampered journal resumed: %v", err)
 		}
@@ -282,7 +282,7 @@ func TestResumeRejectsTamperedResult(t *testing.T) {
 			res.Hidden = 0
 			rec.ResultHash = ResultHash(*res)
 		})
-		_, err := journaledFleet(t).Resume(SweepInside, 1, path)
+		_, err := journaledFleet(t).Resume(SweepInside, 1, path, nil)
 		if err == nil || !strings.Contains(err.Error(), "altered after sealing") {
 			t.Fatalf("re-hashed tampered journal resumed: %v", err)
 		}
@@ -293,13 +293,13 @@ func TestResumeRejectsTamperedResult(t *testing.T) {
 // different fleet is an operator error, caught before any scanning.
 func TestResumeRejectsMismatchedSweep(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
-	if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path); err != nil {
+	if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := journaledFleet(t).Resume(SweepOutside, 1, path); err == nil {
+	if _, err := journaledFleet(t).Resume(SweepOutside, 1, path, nil); err == nil {
 		t.Error("resumed an inside journal as an outside sweep")
 	}
-	if _, err := buildFleet(t, 2, nil).Resume(SweepInside, 1, path); err == nil {
+	if _, err := buildFleet(t, 2, nil).Resume(SweepInside, 1, path, nil); err == nil {
 		t.Error("resumed a 4-host journal on a 2-host fleet")
 	}
 }
@@ -309,13 +309,13 @@ func TestResumeRejectsMismatchedSweep(t *testing.T) {
 // drop records.
 func TestResumeInteriorCorruptionIsLoud(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
-	if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path); err != nil {
+	if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := journal.Corrupt(path, faultinject.KindFlip, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := journaledFleet(t).Resume(SweepInside, 1, path); err == nil {
+	if _, err := journaledFleet(t).Resume(SweepInside, 1, path, nil); err == nil {
 		t.Fatal("bit-flipped journal resumed silently")
 	}
 }
@@ -330,7 +330,7 @@ func TestBreakerQuarantinesHost(t *testing.T) {
 	mgr.BreakerThreshold = 2
 	mgrHost(t, mgr, hostName(1)).Disk = nil // every attempt panics
 
-	rep, err := mgr.SweepJournaled(SweepInside, 1, path)
+	rep, err := mgr.SweepJournaled(SweepInside, 1, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestBreakerQuarantinesHost(t *testing.T) {
 func TestBreakerCountsAcrossResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
 	mgr := buildFleet(t, 2, nil)
-	if _, err := mgr.SweepJournaled(SweepInside, 1, path); err != nil {
+	if _, err := mgr.SweepJournaled(SweepInside, 1, path, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Rewind to host a's running record, then add a second dangling
@@ -394,7 +394,7 @@ func TestBreakerCountsAcrossResume(t *testing.T) {
 	mgr2.BreakerThreshold = 3
 	mgr2.MaxRetries = 5
 	mgrHost(t, mgr2, hostName(0)).Disk = nil // still broken after the resume
-	rep, err := mgr2.Resume(SweepInside, 1, path)
+	rep, err := mgr2.Resume(SweepInside, 1, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestAbortAfterFailureFraction(t *testing.T) {
 	mgrHost(t, mgr, hostName(0)).Disk = nil
 	mgrHost(t, mgr, hostName(1)).Disk = nil
 
-	rep, err := mgr.SweepJournaled(SweepInside, 1, path)
+	rep, err := mgr.SweepJournaled(SweepInside, 1, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestAbortAfterFailureFraction(t *testing.T) {
 	// Resuming past the abort finishes the fleet: the abort record is
 	// an operator note, not a tombstone.
 	mgr2 := buildFleet(t, 4, nil)
-	resumed, err := mgr2.Resume(SweepInside, 1, path)
+	resumed, err := mgr2.Resume(SweepInside, 1, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestAbortAfterFailureFraction(t *testing.T) {
 // report fails Verify.
 func TestFleetReportTamperEvident(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
-	rep, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path)
+	rep, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestFleetReportTamperEvident(t *testing.T) {
 // took is not part of the verdict.
 func TestResultHashExcludesRetryAccounting(t *testing.T) {
 	mgr := buildFleet(t, 1, nil)
-	r := mgr.InsideSweep()[0]
+	r := sweepResults(t, mgr, SweepInside, 1)[0]
 	a := r
 	b := r
 	b.Elapsed *= 3

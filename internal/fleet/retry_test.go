@@ -32,7 +32,7 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	m := mgrHost(t, mgr, hostName(0))
 	clockStart := m.Clock.Now()
 
-	results := mgr.InsideSweep()
+	results := sweepResults(t, mgr, SweepInside, 1)
 	r := results[0]
 	if r.Err != "" || r.Degraded != 0 {
 		t.Fatalf("retried host not clean: err=%q degraded=%d", r.Err, r.Degraded)
@@ -69,7 +69,7 @@ func TestRetryExhaustionKeepsDegradedResult(t *testing.T) {
 	armHost(t, mgr, hostName(0),
 		faultinject.Fault{Source: faultinject.SourceAPI, Kind: faultinject.KindErr, After: 1, Count: 1 << 20})
 
-	r := mgr.InsideSweep()[0]
+	r := sweepResults(t, mgr, SweepInside, 1)[0]
 	if r.Degraded == 0 {
 		t.Fatal("persistent fault left no degradation")
 	}
@@ -95,7 +95,7 @@ func TestRetryDisabledByDefault(t *testing.T) {
 	armHost(t, mgr, hostName(0),
 		faultinject.Fault{Source: faultinject.SourceAPI, Kind: faultinject.KindErr, After: 1, Count: 1})
 
-	r := mgr.InsideSweep()[0]
+	r := sweepResults(t, mgr, SweepInside, 1)[0]
 	if r.Degraded == 0 {
 		t.Fatal("fault did not degrade the sweep")
 	}
@@ -111,7 +111,7 @@ func TestHostDeadlineDegradesNotErrors(t *testing.T) {
 	mgr := buildFleet(t, 1, nil)
 	mgr.HostDeadline = time.Nanosecond
 
-	r := mgr.InsideSweep()[0]
+	r := sweepResults(t, mgr, SweepInside, 1)[0]
 	if r.Err != "" {
 		t.Fatalf("deadline surfaced as host error: %q", r.Err)
 	}
@@ -137,7 +137,7 @@ func TestScanPanicBecomesHostError(t *testing.T) {
 	mgr := buildFleet(t, 3, nil)
 	mgrHost(t, mgr, hostName(1)).Disk = nil // detonates at scan entry
 
-	results := mgr.Sweep(SweepInside, 2)
+	results := sweepResults(t, mgr, SweepInside, 2)
 	if len(results) != 3 {
 		t.Fatalf("sweep lost results: %d of 3", len(results))
 	}
@@ -160,12 +160,12 @@ func TestRetriedSweepStillDetects(t *testing.T) {
 	armHost(t, mgr, hostName(1),
 		faultinject.Fault{Source: faultinject.SourceAPI, Kind: faultinject.KindErr, After: 1, Count: 1})
 
-	s := Summarize(mgr.InsideSweep())
-	if len(s.Errors) != 0 {
-		t.Fatalf("errors = %v", s.Errors)
+	infected, errs := verdicts(sweepResults(t, mgr, SweepInside, 1))
+	if len(errs) != 0 {
+		t.Fatalf("errors = %v", errs)
 	}
-	if len(s.Infected) != 1 || s.Infected[0] != hostName(1) {
-		t.Fatalf("infected = %v, want exactly %s", s.Infected, hostName(1))
+	if len(infected) != 1 || infected[0] != hostName(1) {
+		t.Fatalf("infected = %v, want exactly %s", infected, hostName(1))
 	}
 }
 
@@ -181,7 +181,7 @@ func TestRetryNsDeadlineOnFinalAttempt(t *testing.T) {
 	m := mgrHost(t, mgr, hostName(0))
 	clockStart := m.Clock.Now()
 
-	r := mgr.InsideSweep()[0]
+	r := sweepResults(t, mgr, SweepInside, 1)[0]
 	if r.Err != "" {
 		t.Fatalf("deadline surfaced as host error: %q", r.Err)
 	}
@@ -206,7 +206,7 @@ func TestRetryNsDeadlineOnFinalAttempt(t *testing.T) {
 func TestBackoffCapSaturates(t *testing.T) {
 	b := defaultRetryBackoff
 	for i := 0; i < 200; i++ { // far past where naive doubling overflows int64
-		b = nextBackoff(b)
+		b = NextBackoff(b)
 		if b <= 0 || b > maxRetryBackoff {
 			t.Fatalf("backoff escaped [0, %v] after %d doublings: %v", maxRetryBackoff, i+1, b)
 		}
@@ -215,7 +215,7 @@ func TestBackoffCapSaturates(t *testing.T) {
 		t.Errorf("backoff saturated at %v, want %v", b, maxRetryBackoff)
 	}
 	// A configured backoff above the cap is clamped, not honored.
-	if got := nextBackoff(48 * time.Hour); got != maxRetryBackoff {
-		t.Errorf("nextBackoff(48h) = %v, want cap %v", got, maxRetryBackoff)
+	if got := NextBackoff(48 * time.Hour); got != maxRetryBackoff {
+		t.Errorf("NextBackoff(48h) = %v, want cap %v", got, maxRetryBackoff)
 	}
 }

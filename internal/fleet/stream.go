@@ -1,13 +1,13 @@
-// Streaming sweeps: the bounded-memory flavor of the journaled sweep a
-// fleetshard sweeper shard runs. Instead of retaining every HostResult
-// and merging them into a Report at the end, each result is folded into
-// a compact SweepSummary (counts, virtual-time charges, and an
-// order-independent digest accumulator) the moment it commits, handed
-// to an optional sink, and dropped — so a shard sweeping a hundred
-// thousand hosts keeps O(in-flight) results resident, never O(hosts).
-// The summary's digest is the per-shard entry in the cross-shard
-// (fourth) verification layer; internal/fleetshard merges summaries
-// across shards.
+// Streaming sweeps: the one scan loop every sweep runs through. Each
+// committed result is folded into a compact SweepSummary (counts,
+// virtual-time charges, and an order-independent digest accumulator)
+// the moment it commits, handed to an optional sink, and dropped — so a
+// shard sweeping a hundred thousand hosts keeps O(in-flight) results
+// resident, never O(hosts). The materialized Report of SweepJournaled
+// and Resume is just a sink that keeps every result. The summary's
+// digest is the per-shard entry in the cross-shard (fourth)
+// verification layer; internal/fleetshard merges summaries across
+// shards.
 package fleet
 
 import (
@@ -20,7 +20,7 @@ import (
 )
 
 // ResidentGauge counts host results that are in flight or awaiting
-// aggregation. Streaming sweeps raise it when a host scan starts and
+// aggregation. Sweeps raise it when a host scan starts and
 // lower it once the result has been folded and released, so its peak is
 // the bounded-memory invariant a test can pin: peak ≤ workers (+1 for
 // the result crossing the channel), or summed across a coordinator's
@@ -42,9 +42,6 @@ func (g *ResidentGauge) Inc() {
 
 // Dec marks one result folded and released.
 func (g *ResidentGauge) Dec() { g.cur.Add(-1) }
-
-// Current returns the resident count right now.
-func (g *ResidentGauge) Current() int { return int(g.cur.Load()) }
 
 // Peak returns the highest resident count observed.
 func (g *ResidentGauge) Peak() int { return int(g.peak.Load()) }
@@ -217,19 +214,11 @@ func (mgr *Manager) SweepStreamed(kind SweepKind, workers int, sink func(HostRes
 // is resumable), but results fold into a SweepSummary instead of
 // accumulating into a Report.
 func (mgr *Manager) SweepJournaledStream(kind SweepKind, workers int, path string, sink func(HostResult)) (*SweepSummary, error) {
-	j, err := journal.Create(path)
+	j, err := mgr.createJournal(kind, path)
 	if err != nil {
 		return nil, err
 	}
 	defer j.Close()
-	if _, err := j.Append(journal.Record{State: journal.StateSweep, Kind: string(kind), Hosts: mgr.Hosts()}); err != nil {
-		return nil, err
-	}
-	for _, h := range mgr.hosts {
-		if _, err := j.Append(journal.Record{State: journal.StateScheduled, Host: h.Name}); err != nil {
-			return nil, err
-		}
-	}
 	return mgr.sweepStream(kind, workers, j, nil, sink)
 }
 
@@ -239,20 +228,19 @@ func (mgr *Manager) SweepJournaledStream(kind SweepKind, workers int, path strin
 // numbering continued — the same resume contract as Resume, at
 // O(in-flight) result residency.
 func (mgr *Manager) ResumeStream(kind SweepKind, workers int, path string, sink func(HostResult)) (*SweepSummary, error) {
-	j, rec, err := journal.Open(path)
+	j, replay, err := mgr.openJournal(kind, path)
 	if err != nil {
 		return nil, err
 	}
 	defer j.Close()
-	replay, err := mgr.analyzeJournal(kind, rec.Records)
-	if err != nil {
-		return nil, err
-	}
 	return mgr.sweepStream(kind, workers, j, replay, sink)
 }
 
-// sweepStream is the streaming scan loop shared by the three entry
-// points. j == nil means unjournaled.
+// sweepStream is the scan loop behind every sweep entry point: it
+// replays the journal's committed results, schedules the remaining
+// hosts, and commits each result — journal record, summary fold, sink —
+// while enforcing hedging, Cancel, the resident gauge and the error
+// budget. j == nil means unjournaled.
 func (mgr *Manager) sweepStream(kind SweepKind, workers int, j *journal.Journal, replay map[string]*hostReplay, sink func(HostResult)) (*SweepSummary, error) {
 	mgr.ensureSorted()
 	sum := &SweepSummary{Kind: kind, Hosts: len(mgr.hosts)}
@@ -290,6 +278,9 @@ func (mgr *Manager) sweepStream(kind SweepKind, workers int, j *journal.Journal,
 		toRun = append(toRun, i)
 	}
 
+	// Journal appends happen on worker goroutines too; the first write
+	// failure aborts the sweep loudly — a sweep that cannot commit its
+	// progress must not pretend to be durable.
 	var (
 		appendErrOnce sync.Once
 		appendErr     error
@@ -335,7 +326,7 @@ func (mgr *Manager) sweepStream(kind SweepKind, workers int, j *journal.Journal,
 	results := mgr.scheduleHosts(workers, toRun, stop, scan)
 collect:
 	for {
-		var ir indexedResult
+		var res HostResult
 		var ok bool
 		// A nil Cancel channel never fires; the select degenerates to a
 		// plain receive.
@@ -354,12 +345,11 @@ collect:
 				}
 			}()
 			break collect
-		case ir, ok = <-results:
+		case res, ok = <-results:
 			if !ok {
 				break collect
 			}
 		}
-		res := ir.r
 		if mgr.cancelFired() && resultCancelled(&res) {
 			// A scan the cancellation caught mid-flight: partial by
 			// construction, never committed. The host stays unfinished
@@ -426,15 +416,11 @@ collect:
 // the summary comes back Interrupted with NotScanned counting the
 // adopted hosts.
 func (mgr *Manager) ReplayStream(kind SweepKind, path string, sink func(HostResult)) (*SweepSummary, error) {
-	j, rec, err := journal.Open(path)
+	j, replay, err := mgr.openJournal(kind, path)
 	if err != nil {
 		return nil, err
 	}
 	defer j.Close()
-	replay, err := mgr.analyzeJournal(kind, rec.Records)
-	if err != nil {
-		return nil, err
-	}
 	mgr.ensureSorted()
 	sum := &SweepSummary{Kind: kind, Hosts: len(mgr.hosts), Interrupted: true}
 	for _, h := range mgr.hosts {

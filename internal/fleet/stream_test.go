@@ -18,13 +18,16 @@ func TestStreamedSweepMatchesJournaled(t *testing.T) {
 	infections := map[int]ghostware.Ghostware{1: ghostware.NewHackerDefender()}
 	dir := t.TempDir()
 
-	classic, err := buildFleet(t, 3, infections).SweepJournaled(SweepInside, 2, filepath.Join(dir, "classic.gbj"))
+	classic, err := buildFleet(t, 3, infections).SweepJournaled(SweepInside, 2, filepath.Join(dir, "classic.gbj"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAcc, err := AccumulateReport(classic)
-	if err != nil {
-		t.Fatal(err)
+	var wantAcc Accumulator
+	for _, hr := range classic.Results {
+		if hr.Hash == "" {
+			t.Fatalf("classic result for %s is unhashed", hr.Host)
+		}
+		wantAcc.Fold(hr.Host, hr.Hash)
 	}
 
 	seen := map[string]int{}
@@ -152,8 +155,8 @@ func TestResidentGaugeBoundsStreamedSweep(t *testing.T) {
 	if peak := gauge.Peak(); peak > workers+1 {
 		t.Errorf("peak resident results %d, bound is workers+1 = %d", peak, workers+1)
 	}
-	if gauge.Current() != 0 {
-		t.Errorf("gauge not drained: %d still resident", gauge.Current())
+	if cur := gauge.cur.Load(); cur != 0 {
+		t.Errorf("gauge not drained: %d still resident", cur)
 	}
 	if sum.PeakResident == 0 {
 		t.Error("summary did not record the resident peak")

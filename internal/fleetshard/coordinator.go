@@ -1119,7 +1119,6 @@ func (c *Coordinator) shardWorkers() int {
 // host.
 func (c *Coordinator) newShardManager(indices []int, gauge *fleet.ResidentGauge, cancel <-chan struct{}) *fleet.Manager {
 	mgr := fleet.NewManager()
-	mgr.Parallelism = c.shardWorkers()
 	mgr.HostParallelism = c.cfg.HostParallelism
 	mgr.MaxRetries = c.cfg.MaxRetries
 	mgr.RetryBackoff = c.cfg.RetryBackoff

@@ -11,7 +11,6 @@ package fleetshard
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -225,13 +224,4 @@ func (r *Report) VerifyJournals(dir string) error {
 func (r *Report) Degraded() bool {
 	return r.Failed > 0 || r.DegradedHosts > 0 || r.QuarantinedHosts > 0 ||
 		r.NotScanned > 0 || len(r.QuarantinedShards) > 0
-}
-
-// WriteJSON renders the report for the management console.
-func (r *Report) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -102,7 +102,7 @@ func RunCrashResume(seed int64) (*CrashSummary, error) {
 		return nil, err
 	}
 	refPath := filepath.Join(dir, "reference.gbj")
-	ref, err := refMgr.SweepJournaled(fleet.SweepInside, 1, refPath)
+	ref, err := refMgr.SweepJournaled(fleet.SweepInside, 1, refPath, nil)
 	if err != nil {
 		return nil, fmt.Errorf("ghostfuzz: reference sweep: %w", err)
 	}
@@ -150,7 +150,7 @@ func RunCrashResume(seed int64) (*CrashSummary, error) {
 		if err != nil {
 			return nil, err
 		}
-		resumed, err := mgr.Resume(fleet.SweepInside, 1, path)
+		resumed, err := mgr.Resume(fleet.SweepInside, 1, path, nil)
 		if v.wantResumeError {
 			if err == nil {
 				s.Violations = append(s.Violations, Violation{InvDurability, mode,

@@ -2,6 +2,7 @@ package ghostfuzz
 
 import (
 	"fmt"
+	"sort"
 
 	"ghostbuster/internal/fleet"
 )
@@ -11,7 +12,7 @@ import (
 type FleetOptions struct {
 	Seed  int64
 	Hosts int
-	// Parallelism is the manager's worker-pool width; zero keeps the
+	// Parallelism is the sweep's worker-pool width; zero keeps the
 	// scheduler default (GOMAXPROCS).
 	Parallelism int
 	// HostParallelism fans each host's eight scan units across lanes.
@@ -35,11 +36,11 @@ const fleetSeedBase = 1 << 20
 // fleet.Manager, and runs a parallel inside sweep. Per-host panics are
 // captured by the manager's scheduler and surface as errors, which the
 // oracle turns into violations. Each host must come back infected with
-// exactly the planted hidden count.
+// exactly the planted hidden count. Results are judged in host order so
+// the violation list is deterministic whatever order hosts finish in.
 func RunFleet(opts FleetOptions) (*FleetSummary, error) {
 	s := &FleetSummary{Seed: opts.Seed, Hosts: opts.Hosts}
 	mgr := fleet.NewManager()
-	mgr.Parallelism = opts.Parallelism
 	mgr.HostParallelism = opts.HostParallelism
 	expected := map[string]int{}
 	for i := 0; i < opts.Hosts; i++ {
@@ -53,7 +54,14 @@ func RunFleet(opts FleetOptions) (*FleetSummary, error) {
 		mgr.Add(host, c.M)
 		expected[host] = c.Expect.HiddenTotal()
 	}
-	for _, res := range mgr.ParallelInsideSweep() {
+	var results []fleet.HostResult
+	if _, err := mgr.SweepStreamed(fleet.SweepInside, opts.Parallelism, func(res fleet.HostResult) {
+		results = append(results, res)
+	}); err != nil {
+		return nil, err
+	}
+	sort.Slice(results, func(i, j int) bool { return results[i].Host < results[j].Host })
+	for _, res := range results {
 		mode := "fleet/" + res.Host
 		if res.Err != "" {
 			s.Violations = append(s.Violations, Violation{InvError, mode, res.Err})

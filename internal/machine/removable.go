@@ -92,13 +92,6 @@ func (m *Machine) RemovableVolume() *ntfs.Volume {
 	return m.removable
 }
 
-// RemovableEvents returns the hot-plug transition count.
-func (m *Machine) RemovableEvents() uint64 {
-	m.remMu.Lock()
-	defer m.remMu.Unlock()
-	return m.removableEvents
-}
-
 // RemovableKey is the removable drive's cache-generation key: the
 // hot-plug event count plus the attached volume's mutation generation
 // ("-" when detached). Any attach, detach, or on-stick write changes
@@ -136,20 +129,6 @@ func (m *Machine) DropRemovableFile(full string, data []byte) error {
 		return vol.WriteFile(vp, data, m.Now())
 	}
 	return vol.Create(vp, ntfs.CreateOptions{Data: data, Created: m.Now(), Modified: m.Now()})
-}
-
-// RemovableFileExists reports whether the path exists on the attached
-// removable volume (driver view). Detached media holds nothing.
-func (m *Machine) RemovableFileExists(full string) bool {
-	vol := m.RemovableVolume()
-	if vol == nil {
-		return false
-	}
-	vp, err := drivePath(RemovableDrive, full)
-	if err != nil {
-		return false
-	}
-	return vol.Exists(vp)
 }
 
 func removableDir(full string) string {

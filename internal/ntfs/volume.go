@@ -262,18 +262,11 @@ func (v *Volume) PatchDevice(off int, data []byte) error {
 // happen even when the bytes end up unchanged (a failed create still
 // counts), but bytes never change without a bump. Incremental scanners
 // key parse caches on this value. Callers that write the device bytes
-// directly (bypassing the Volume mutators) must call BumpGeneration.
+// directly (bypassing the Volume mutators) must use PatchDevice.
 func (v *Volume) Generation() uint64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.gen
-}
-
-// BumpGeneration records an out-of-band mutation of the device bytes.
-func (v *Volume) BumpGeneration() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.gen++
 }
 
 // SnapshotImage returns a copy of the device, as the WinPE / VM outside
@@ -827,28 +820,4 @@ func (v *Volume) ReadDir(path string) ([]Info, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return strings.ToUpper(out[i].Name) < strings.ToUpper(out[j].Name) })
 	return out, nil
-}
-
-// SetAttrs updates the DOS attribute bits of a file (used to model
-// hidden/system attribute tricks).
-func (v *Volume) SetAttrs(path string, attrs uint32, modified uint64) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.gen++
-	num, err := v.resolve(path)
-	if err != nil {
-		return err
-	}
-	rec, err := v.readRecord(num)
-	if err != nil {
-		return err
-	}
-	si, err := rec.StandardInformation()
-	if err != nil {
-		return err
-	}
-	si.FileAttrs = attrs
-	si.Modified = modified
-	rec.attr(AttrStandardInformation).Content = encodeStandardInformation(si)
-	return v.writeRecord(rec)
 }

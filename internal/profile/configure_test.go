@@ -75,8 +75,8 @@ func TestConfigureManagerWiresDetectorSeam(t *testing.T) {
 	}
 	mgr := fleet.NewManager()
 	p.ConfigureManager(mgr)
-	if mgr.Parallelism != p.Workers || mgr.HostParallelism != p.HostParallelism {
-		t.Errorf("manager parallelism %d/%d, want %d/%d", mgr.Parallelism, mgr.HostParallelism, p.Workers, p.HostParallelism)
+	if mgr.HostParallelism != p.HostParallelism {
+		t.Errorf("manager host parallelism %d, want %d", mgr.HostParallelism, p.HostParallelism)
 	}
 	if mgr.MaxRetries != p.MaxRetries || mgr.HostDeadline != p.Deadline {
 		t.Errorf("manager retries/deadline = %d/%v, want %d/%v", mgr.MaxRetries, mgr.HostDeadline, p.MaxRetries, p.Deadline)

@@ -495,9 +495,10 @@ var orderSeedCounter atomic.Int64
 func nextOrderSeed() int64 { return orderSeedCounter.Add(1) }
 
 // ConfigureManager applies the profile to a fleet manager — the sweep
-// path both the CLI fleet mode and the resident daemon run.
+// path both the CLI fleet mode and the resident daemon run. The worker
+// count (p.Workers) is not a manager field: callers pass it to the
+// sweep entry point.
 func (p Profile) ConfigureManager(mgr *fleet.Manager) {
-	mgr.Parallelism = p.Workers
 	mgr.HostParallelism = p.HostParallelism
 	mgr.MaxRetries = p.MaxRetries
 	mgr.RetryBackoff = p.RetryBackoff

@@ -30,10 +30,11 @@ echo "==> daemon smoke under -race (boot, API sweep, graceful drain; locked-prof
 go test -race -run 'TestRunSmoke|TestRunFlagValidation' ./cmd/ghostbusterd/
 go test -race -run 'TestHTTPLockedProfileRejectsWeakening|TestCrashResumeDigestEquality|TestGracefulShutdownDrainsInFlightSweep' ./internal/daemon/
 
-echo "==> supervision matrix under -race (wedge failover, wedge-crash resume, hedged stragglers, jittered retries, cancel-seal)"
+echo "==> supervision matrix under -race (wedge failover, wedge-crash resume, hedged stragglers, jittered retries, cancel-seal, every option in every sweep entry point, CLI mode-flag rejection)"
 go test -race -run 'TestSupervisionChaos' ./internal/ghostfuzz/
 go test -race -run 'TestWatchdog|TestWedge|TestResumeOfCompletedWedgeRun' ./internal/fleetshard/
-go test -race -run 'TestHedged|TestCancelSealsPartialSummaryAndResumes|TestJittered|TestResultCancelledDetectsCasualties' ./internal/fleet/
+go test -race -run 'TestHedged|TestCancelSealsPartialSummaryAndResumes|TestJittered|TestResultCancelledDetectsCasualties|TestEntryPointOptionMatrix' ./internal/fleet/
+go test -race -run 'TestFlagsRejectedOutsideTheirMode|TestSupervisionFlags' ./cmd/ghostbuster/
 
 echo "==> daemon overload control under -race (admission 429/Retry-After, readyz draining, slow SSE consumers never stall sweeps)"
 go test -race -run 'TestSweepAdmission|TestReadyzTracksDraining|TestSlowSubscriberDropsWithoutStallingSweeps|TestSubscriberChurnDuringSweeps' ./internal/daemon/
