@@ -315,46 +315,31 @@ func runPlain(m *machine.Machine, scan string, advanced, contain, verbose, jsonO
 		d.OrderSeed = orderSeed
 	}
 	var reports []*core.Report
-	runScan := func(name string, f func() (*core.Report, error)) error {
-		r, err := f()
-		if err != nil {
-			return fmt.Errorf("%s scan: %w", name, err)
-		}
-		reports = append(reports, r)
-		return nil
-	}
 	switch scan {
-	case "files":
-		if err := runScan("file", d.ScanFiles); err != nil {
-			return exitError, err
-		}
-	case "aseps":
-		if err := runScan("ASEP", d.ScanASEPs); err != nil {
-			return exitError, err
-		}
-	case "procs":
-		if err := runScan("process", d.ScanProcesses); err != nil {
-			return exitError, err
-		}
-	case "mods":
-		if err := runScan("module", d.ScanModules); err != nil {
-			return exitError, err
-		}
-	case "drivers":
-		if err := runScan("driver", d.ScanDrivers); err != nil {
-			return exitError, err
-		}
 	case "all":
 		all, err := d.ScanAll()
 		if err != nil {
 			return exitError, err
 		}
-		reports = all
-		if err := runScan("driver", d.ScanDrivers); err != nil {
+		drivers, err := d.ScanDrivers()
+		if err != nil {
 			return exitError, err
 		}
+		reports = append(all, drivers)
 	default:
-		return exitError, fmt.Errorf("unknown scan kind %q", scan)
+		// The detector's errors already name the failed pair.
+		scanPair, ok := map[string]func() (*core.Report, error){
+			"files": d.ScanFiles, "aseps": d.ScanASEPs, "procs": d.ScanProcesses,
+			"mods": d.ScanModules, "drivers": d.ScanDrivers,
+		}[scan]
+		if !ok {
+			return exitError, fmt.Errorf("unknown scan kind %q", scan)
+		}
+		r, err := scanPair()
+		if err != nil {
+			return exitError, err
+		}
+		reports = []*core.Report{r}
 	}
 	infected, degraded := false, false
 	for _, r := range reports {

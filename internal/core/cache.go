@@ -58,17 +58,9 @@ type ScanCache struct {
 	m      *machine.Machine
 	intern *InternTable
 
-	filesMu  sync.Mutex
-	files    *ColumnarSnapshot
-	filesGen uint64
-
-	asepsMu  sync.Mutex
-	aseps    *ColumnarSnapshot
-	asepsKey string
-
-	remMu  sync.Mutex
-	rem    *ColumnarSnapshot
-	remKey string
+	files memo[uint64]
+	aseps memo[string]
+	rem   memo[string]
 
 	hits, misses atomic.Int64
 }
@@ -97,25 +89,61 @@ func (c *ScanCache) Stats() CacheStats {
 // keep their symbols, which is what makes the post-invalidation reparse
 // cheap.
 func (c *ScanCache) Invalidate() {
-	c.filesMu.Lock()
-	c.files = nil
-	c.filesMu.Unlock()
-	c.asepsMu.Lock()
-	c.aseps = nil
-	c.asepsMu.Unlock()
-	c.remMu.Lock()
-	c.rem = nil
-	c.remMu.Unlock()
+	c.files.drop()
+	c.aseps.drop()
+	c.rem.drop()
 }
 
-// hitColumnar stamps a cached snapshot for the current virtual time. The
-// columns are shared with the cached copy — snapshots are never mutated
-// after Build, only diffed.
-func hitColumnar(cached *ColumnarSnapshot, clock *vtime.Clock, elapsed time.Duration) *ColumnarSnapshot {
-	snap := *cached
-	snap.Taken = clock.Now()
-	snap.Elapsed = elapsed
-	return &snap
+// memo is one memoized truth-side parse and the source key it was
+// parsed under. Each memo has its own lock, so a parallel sweep's lanes
+// never serialize across truth sources.
+type memo[K comparable] struct {
+	mu   sync.Mutex
+	snap *ColumnarSnapshot
+	key  K
+}
+
+func (mm *memo[K]) drop() {
+	mm.mu.Lock()
+	mm.snap = nil
+	mm.mu.Unlock()
+}
+
+// memoize serves mm's snapshot when its key still equals key, charging
+// only the verify pass on clk; otherwise it runs parse and memoizes the
+// result under key. The columns of a served snapshot are shared with
+// the cached copy — snapshots are never mutated after Build, only
+// diffed. A parse that raced a fired fault may describe damaged bytes:
+// it is served to this sweep (the report carries the degradation) but
+// never memoized, so a warm cache cannot replay a poisoned parse after
+// the fault clears.
+func memoize[K comparable](c *ScanCache, mm *memo[K], key K, clk *vtime.Clock, verify func(*vtime.Clock), parse func() (*ColumnarSnapshot, error)) (*ColumnarSnapshot, error) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if mm.snap != nil && mm.key == key {
+		c.hits.Add(1)
+		sw := vtime.NewStopwatch(clk)
+		verify(clk)
+		snap := *mm.snap
+		snap.Taken = clk.Now()
+		snap.Elapsed = sw.Elapsed()
+		return &snap, nil
+	}
+	c.misses.Add(1)
+	epoch := c.faultEpoch()
+	snap, err := parse()
+	if err != nil || c.faultEpoch() != epoch {
+		return snap, err
+	}
+	mm.snap, mm.key = snap, key
+	return snap, nil
+}
+
+// verifyDisk charges a hit's verify pass over a block device: one
+// boot-sector read plus the generation comparison.
+func (c *ScanCache) verifyDisk(clk *vtime.Clock) {
+	clk.ChargeBytes(ntfs.BytesPerSector, diskBytesPerSecond(c.m.Profile))
+	clk.ChargeOps(1, costCacheVerifyDisk)
 }
 
 // ScanFilesLow is the cached variant of core.ScanFilesLow: it returns
@@ -130,32 +158,9 @@ func (c *ScanCache) ScanFilesLow() (*Snapshot, error) {
 }
 
 func (c *ScanCache) scanFilesLowOn(clk *vtime.Clock, workers int) (*ColumnarSnapshot, error) {
-	c.filesMu.Lock()
-	defer c.filesMu.Unlock()
-	gen := c.m.Disk.Generation()
-	if c.files != nil && c.filesGen == gen {
-		c.hits.Add(1)
-		sw := vtime.NewStopwatch(clk)
-		clk.ChargeBytes(ntfs.BytesPerSector, diskBytesPerSecond(c.m.Profile))
-		clk.ChargeOps(1, costCacheVerifyDisk)
-		return hitColumnar(c.files, clk, sw.Elapsed()), nil
-	}
-	c.misses.Add(1)
-	epoch := c.faultEpoch()
-	snap, err := scanFilesLowC(c.m, clk, workers, c.intern)
-	if err != nil {
-		return nil, err
-	}
-	if c.faultEpoch() != epoch {
-		// A fault fired during the parse: the snapshot may describe
-		// damaged bytes. Serve it to this sweep (the report carries the
-		// degradation) but never memoize it — a warm cache must not
-		// replay a poisoned parse after the fault clears.
-		return snap, nil
-	}
-	c.files = snap
-	c.filesGen = gen
-	return snap, nil
+	return memoize(c, &c.files, c.m.Disk.Generation(), clk, c.verifyDisk, func() (*ColumnarSnapshot, error) {
+		return scanFilesLowC(c.m, clk, workers, c.intern)
+	})
 }
 
 // faultEpoch samples the machine's fault-injection epoch (zero when no
@@ -178,29 +183,10 @@ func (c *ScanCache) ScanASEPLow() (*Snapshot, error) {
 }
 
 func (c *ScanCache) scanASEPLowOn(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-	c.asepsMu.Lock()
-	defer c.asepsMu.Unlock()
-	key := regCacheKey(c.m)
-	if c.aseps != nil && c.asepsKey == key {
-		c.hits.Add(1)
-		sw := vtime.NewStopwatch(clk)
-		clk.ChargeOps(int64(len(c.m.Reg.Roots())), costCacheVerifyHive)
-		return hitColumnar(c.aseps, clk, sw.Elapsed()), nil
-	}
-	c.misses.Add(1)
-	epoch := c.faultEpoch()
-	snap, err := scanASEPLowC(c.m, clk, c.intern)
-	if err != nil {
-		return nil, err
-	}
-	if c.faultEpoch() != epoch {
-		// See scanFilesLowOn: a parse that raced a fired fault is served
-		// once but never memoized.
-		return snap, nil
-	}
-	c.aseps = snap
-	c.asepsKey = key
-	return snap, nil
+	verify := func(clk *vtime.Clock) { clk.ChargeOps(int64(len(c.m.Reg.Roots())), costCacheVerifyHive) }
+	return memoize(c, &c.aseps, regCacheKey(c.m), clk, verify, func() (*ColumnarSnapshot, error) {
+		return scanASEPLowC(c.m, clk, c.intern)
+	})
 }
 
 // scanRemovableLowOn is the cached removable truth scan, keyed on the
@@ -209,30 +195,9 @@ func (c *ScanCache) scanASEPLowOn(clk *vtime.Clock) (*ColumnarSnapshot, error) {
 // cached parse of the previous stick can never stand in for the current
 // one.
 func (c *ScanCache) scanRemovableLowOn(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-	c.remMu.Lock()
-	defer c.remMu.Unlock()
-	key := c.m.RemovableKey()
-	if c.rem != nil && c.remKey == key {
-		c.hits.Add(1)
-		sw := vtime.NewStopwatch(clk)
-		clk.ChargeBytes(ntfs.BytesPerSector, diskBytesPerSecond(c.m.Profile))
-		clk.ChargeOps(1, costCacheVerifyDisk)
-		return hitColumnar(c.rem, clk, sw.Elapsed()), nil
-	}
-	c.misses.Add(1)
-	epoch := c.faultEpoch()
-	snap, err := scanRemovableLowC(c.m, clk, c.intern)
-	if err != nil {
-		return nil, err
-	}
-	if c.faultEpoch() != epoch {
-		// See scanFilesLowOn: a parse that raced a fired fault is served
-		// once but never memoized.
-		return snap, nil
-	}
-	c.rem = snap
-	c.remKey = key
-	return snap, nil
+	return memoize(c, &c.rem, c.m.RemovableKey(), clk, c.verifyDisk, func() (*ColumnarSnapshot, error) {
+		return scanRemovableLowC(c.m, clk, c.intern)
+	})
 }
 
 // GenerationKey folds a machine's byte-level substrate generations into

@@ -148,9 +148,6 @@ type ColumnarSnapshot struct {
 // Len returns the entry count.
 func (c *ColumnarSnapshot) Len() int { return len(c.ids) }
 
-// Table returns the interning table the ID column indexes.
-func (c *ColumnarSnapshot) Table() *InternTable { return c.table }
-
 // EntryAt materializes entry i (in symbol order).
 func (c *ColumnarSnapshot) EntryAt(i int) Entry {
 	return Entry{ID: c.table.Str(c.ids[i]), Display: c.displays[i], Detail: c.details[i]}
@@ -224,9 +221,6 @@ func NewColumnarBuilder(t *InternTable, kind ResourceKind, view View, hint int) 
 		details:  make([]string, 0, hint),
 	}
 }
-
-// Table returns the builder's interning table.
-func (b *ColumnarBuilder) Table() *InternTable { return b.table }
 
 // Add appends one row, interning the ID.
 func (b *ColumnarBuilder) Add(id, display, detail string) {

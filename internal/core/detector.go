@@ -13,6 +13,8 @@ import (
 
 // Detector is the inside-the-box GhostBuster tool: it runs paired
 // high/low scans for each resource type on one machine and diffs them.
+// Every option below holds for every scan method: each one runs rows of
+// the same pair table through the same runner (see run).
 type Detector struct {
 	M *machine.Machine
 	// Advanced selects the CID-table traversal for the process low scan
@@ -30,20 +32,22 @@ type Detector struct {
 	// The high-level scans are never cached: they must re-traverse the
 	// hookable API chain every sweep. Must be a cache built on M.
 	Cache *ScanCache
-	// Parallelism bounds how many scan units of one ScanAll sweep run
-	// concurrently. A sweep has eight units (the high/low pair of each of
-	// the four resource detections); values above eight are clamped.
-	// Zero or one keeps the sequential path. Reports are byte-identical
-	// either way: units are statically assigned to virtual-time lanes, so
-	// per-scan charges never depend on goroutine interleaving.
+	// Parallelism bounds how many scan units of one scan run
+	// concurrently. ScanAll runs eight units (the high/low pair of each of
+	// the four resource detections), up to fourteen with every
+	// next-generation pair enabled; a single-pair scan runs two. Values
+	// above the unit count are clamped. Zero or one keeps the inline
+	// single-lane path. Reports are byte-identical either way: units are
+	// statically assigned to virtual-time lanes, so per-scan charges
+	// never depend on goroutine interleaving.
 	Parallelism int
 	// Contain turns on per-scan-unit error containment: a unit that
-	// fails (or panics) no longer aborts ScanAll; its resource pair's
+	// fails (or panics) no longer aborts the scan; its resource pair's
 	// report records the loss in DegradedUnits and carries whatever the
 	// surviving views support. Fleet sweeps and chaos runs set this; the
 	// default (off) preserves strict fail-fast semantics.
 	Contain bool
-	// Deadline, when positive, bounds one ScanAll sweep in virtual time.
+	// Deadline, when positive, bounds one scan run in virtual time.
 	// Units not yet started when the budget is exhausted are abandoned:
 	// degraded under Contain, an error otherwise.
 	Deadline time.Duration
@@ -95,8 +99,8 @@ func NewCachedDetector(m *machine.Machine) *Detector {
 }
 
 // table returns the interning table all of this detector's snapshots
-// share. Not safe to call first from concurrent goroutines — the sweep
-// paths resolve it once before forking lanes.
+// share. Not safe to call first from concurrent goroutines — the runner
+// resolves it once before forking lanes.
 func (d *Detector) table() *InternTable {
 	if d.Cache != nil {
 		return d.Cache.table()
@@ -107,181 +111,217 @@ func (d *Detector) table() *InternTable {
 	return d.intern
 }
 
-func (d *Detector) lowFilesC(clk *vtime.Clock, workers int, t *InternTable) (*ColumnarSnapshot, error) {
-	if d.Cache != nil {
-		return d.Cache.scanFilesLowOn(clk, workers)
-	}
-	return scanFilesLowC(d.M, clk, workers, t)
-}
-
-func (d *Detector) lowASEPsC(clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
-	if d.Cache != nil {
-		return d.Cache.scanASEPLowOn(clk)
-	}
-	return scanASEPLowC(d.M, clk, t)
-}
-
-func (d *Detector) call() (*winapi.Call, error) {
-	name := d.AsProcess
-	if name == "" {
-		return d.M.SystemCall(), nil
-	}
-	return d.M.CallAs(name)
-}
-
-// callOn builds a fresh call whose API traffic charges the given lane
-// clock instead of the machine clock.
-func (d *Detector) callOn(clk *vtime.Clock) (*winapi.Call, error) {
-	call, err := d.call()
-	if err != nil {
-		return nil, err
-	}
-	laned := *call
-	laned.Clock = clk
-	return &laned, nil
-}
-
 // ScanFiles runs the inside-the-box hidden-file detection (§2).
-func (d *Detector) ScanFiles() (*Report, error) {
-	call, err := d.call()
-	if err != nil {
-		return nil, err
-	}
-	t := d.table()
-	high, err := scanFilesHighC(d.M, call, t)
-	if err != nil {
-		return nil, err
-	}
-	low, err := d.lowFilesC(d.M.Clock, 1, t)
-	if err != nil {
-		return nil, err
-	}
-	return sealedDiffColumnar(high, low, d.Opts)
-}
+func (d *Detector) ScanFiles() (*Report, error) { return d.scanPair(pairFiles) }
 
 // ScanASEPs runs the inside-the-box hidden-Registry detection (§3).
-func (d *Detector) ScanASEPs() (*Report, error) {
-	call, err := d.call()
-	if err != nil {
-		return nil, err
-	}
-	t := d.table()
-	high, err := scanASEPHighC(d.M, call, t)
-	if err != nil {
-		return nil, err
-	}
-	low, err := d.lowASEPsC(d.M.Clock, t)
-	if err != nil {
-		return nil, err
-	}
-	return sealedDiffColumnar(high, low, d.Opts)
-}
+func (d *Detector) ScanASEPs() (*Report, error) { return d.scanPair(pairASEPs) }
 
 // ScanProcesses runs the inside-the-box hidden-process detection (§4).
-func (d *Detector) ScanProcesses() (*Report, error) {
-	call, err := d.call()
-	if err != nil {
-		return nil, err
-	}
-	t := d.table()
-	high, err := scanProcsHighC(d.M, call, t)
-	if err != nil {
-		return nil, err
-	}
-	low, err := scanProcsLowC(d.M, d.Advanced, d.M.Clock, t)
-	if err != nil {
-		return nil, err
-	}
-	return sealedDiffColumnar(high, low, d.Opts)
-}
+func (d *Detector) ScanProcesses() (*Report, error) { return d.scanPair(pairProcs) }
 
 // ScanModules runs the inside-the-box hidden-module detection (§4). The
 // pid set comes from the kernel truth so hidden processes' modules are
 // covered.
-func (d *Detector) ScanModules() (*Report, error) {
-	call, err := d.call()
-	if err != nil {
-		return nil, err
-	}
-	pids, err := TruthPids(d.M)
-	if err != nil {
-		return nil, err
-	}
-	t := d.table()
-	high, err := scanModsHighC(d.M, call, pids, t)
-	if err != nil {
-		return nil, err
-	}
-	low, err := scanModsLowC(d.M, pids, d.M.Clock, t)
-	if err != nil {
-		return nil, err
-	}
-	return sealedDiffColumnar(high, low, d.Opts)
-}
+func (d *Detector) ScanModules() (*Report, error) { return d.scanPair(pairMods) }
+
+// ScanDrivers diffs the driver views, exposing rootkits that filter the
+// driver-enumeration API (a natural next step for Hacker Defender-style
+// rootkits once AskStrider made the visible driver a liability, §4).
+func (d *Detector) ScanDrivers() (*Report, error) { return d.scanPair(pairDrivers) }
 
 // ScanAll runs all four detections and returns the reports in the
-// paper's order: files, ASEP hooks, processes, modules. With
-// Parallelism > 1, the eight scan units fan out across that many
-// goroutines (clamped to eight); see scanAllParallel. Reports are
-// byte-identical for any lane count, and — absent faults, deadlines,
-// and panics — identical whether or not Contain is set.
+// paper's order: files, ASEP hooks, processes, modules, followed by the
+// next-generation pairs Units enables. With Parallelism > 1, the scan
+// units (eight, up to fourteen with every next-generation pair) fan out
+// across that many lanes; see run. Reports are byte-identical for any
+// lane count, and — absent faults, deadlines, and panics — identical
+// whether or not Contain is set.
 func (d *Detector) ScanAll() ([]*Report, error) {
-	genStart := d.M.Disk.Generation()
-	sweepStart := d.M.Clock.Now()
-	if d.Parallelism > 1 {
-		lanes := d.Parallelism
-		if max := 2 * len(d.pairSpecs()); lanes > max {
-			lanes = max
+	specs := make([]pairSpec, 0, pairDrivers)
+	for i := range pairTable[:pairDrivers] {
+		if g := pairTable[i].gate; g == 0 || d.Units.Has(g) {
+			specs = append(specs, d.pair(i))
 		}
-		return d.scanAllParallel(lanes, genStart, sweepStart)
 	}
-	return d.scanAllSequential(genStart, sweepStart)
+	return d.run(specs)
 }
 
-// numScanUnits is the number of always-on scan units in one sweep: the
-// high and low scan of each of the paper's four resource detections.
-// Detector.Units can enable up to three more pairs.
-const numScanUnits = 8
+// scanPair runs the single pair row i of the pair table.
+func (d *Detector) scanPair(i int) (*Report, error) {
+	reports, err := d.run([]pairSpec{d.pair(i)})
+	if err != nil {
+		return nil, err
+	}
+	return reports[0], nil
+}
 
-// maxScanUnits bounds one sweep's unit count: the paper eight plus the
-// three next-generation pairs. Execution-order permutations live in a
-// fixed-size array of this bound, so randomized ordering allocates
-// nothing.
-const maxScanUnits = numScanUnits + 6
+// unitFunc is one scan unit: the high or the low scan of a pair,
+// charging the given lane clock.
+type unitFunc func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error)
 
-// pairSpec describes one resource pair of a sweep: unit 2i is pair i's
-// high scan, unit 2i+1 its low scan.
+// pairSpec is one row of the pair table: a resource detection's name,
+// kind and nominal views, and its two scan units. gate names the
+// next-generation unit switch that adds the row to ScanAll (zero for
+// the paper's four).
 type pairSpec struct {
-	name     string
-	kind     ResourceKind
-	highView View
-	lowView  View
+	name      string
+	kind      ResourceKind
+	highView  View
+	lowView   View
+	gate      UnitSet
+	high, low unitFunc
 }
 
-// pairSpecs lists the sweep's pairs in report order: the paper's four,
-// then the enabled next-generation pairs.
-func (d *Detector) pairSpecs() []pairSpec {
-	procLow := ViewKernelAPL
-	if d.Advanced {
-		procLow = ViewKernelCID
+// unit returns the pair's high unit for even u, its low unit for odd u.
+func (p *pairSpec) unit(u int) unitFunc {
+	if u%2 == 0 {
+		return p.high
 	}
-	specs := make([]pairSpec, 0, maxScanUnits/2)
-	specs = append(specs,
-		pairSpec{"files", KindFiles, ViewWin32Inside, ViewRawMFT},
-		pairSpec{"ASEPs", KindASEPHooks, ViewWin32Inside, ViewRawHive},
-		pairSpec{"processes", KindProcesses, ViewWin32Inside, procLow},
-		pairSpec{"modules", KindModules, ViewWin32Inside, ViewKernelVAD},
-	)
-	if d.Units.Has(UnitCrossMem) {
-		specs = append(specs, pairSpec{"kmem-carve", KindProcesses, ViewKernelCID, ViewKernelCarve})
+	return p.low
+}
+
+// Rows of pairTable. ScanAll runs the rows before pairDrivers, in this
+// (report) order; the driver pair runs only through ScanDrivers.
+const (
+	pairFiles = iota
+	pairASEPs
+	pairProcs
+	pairMods
+	pairCrossMem
+	pairBoot
+	pairRemovable
+	pairDrivers
+)
+
+// maxScanUnits bounds one run's unit count: both units of every ScanAll
+// row. Execution-order permutations live in a fixed-size array of this
+// bound, so randomized ordering allocates nothing.
+const maxScanUnits = 2 * pairDrivers
+
+// pairTable is the only description of a detection: every Detector scan
+// method runs rows of it through run. The raw-MFT unit dominates a cold
+// sweep, so it additionally shards its record decode across the lane
+// bound (the other lanes' units are small and finish early, freeing
+// cores for the decode shards).
+var pairTable = [...]pairSpec{
+	pairFiles: {"files", KindFiles, ViewWin32Inside, ViewRawMFT, 0, highUnit(scanFilesHighC),
+		func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) {
+			if c := s.d.Cache; c != nil {
+				return c.scanFilesLowOn(clk, s.workers)
+			}
+			return scanFilesLowC(s.d.M, clk, s.workers, s.t)
+		}},
+	pairASEPs: {"ASEPs", KindASEPHooks, ViewWin32Inside, ViewRawHive, 0, highUnit(scanASEPHighC),
+		func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) {
+			if c := s.d.Cache; c != nil {
+				return c.scanASEPLowOn(clk)
+			}
+			return scanASEPLowC(s.d.M, clk, s.t)
+		}},
+	pairProcs: {"processes", KindProcesses, ViewWin32Inside, ViewKernelAPL, 0, highUnit(scanProcsHighC),
+		func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) {
+			return scanProcsLowC(s.d.M, s.d.Advanced, clk, s.t)
+		}},
+	pairMods: {"modules", KindModules, ViewWin32Inside, ViewKernelVAD, 0,
+		func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) {
+			call, err := s.d.callOn(clk)
+			if err != nil {
+				return nil, err
+			}
+			pids, err := s.truthPids()
+			if err != nil {
+				return nil, err
+			}
+			return scanModsHighC(s.d.M, call, pids, s.t)
+		},
+		func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) {
+			pids, err := s.truthPids()
+			if err != nil {
+				return nil, err
+			}
+			return scanModsLowC(s.d.M, pids, clk, s.t)
+		}},
+	pairCrossMem: {"kmem-carve", KindProcesses, ViewKernelCID, ViewKernelCarve, UnitCrossMem,
+		clockUnit(scanCrossMemHighC), clockUnit(scanCrossMemLowC)},
+	pairBoot: {"boot-chain", KindBootChain, ViewBootAPI, ViewBootRaw, UnitBootChain,
+		highUnit(scanBootHighC), clockUnit(scanBootLowC)},
+	pairRemovable: {"removable", KindFiles, ViewWin32Inside, ViewRawRemovable, UnitRemovable, highUnit(scanRemovableHighC),
+		func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) {
+			if c := s.d.Cache; c != nil {
+				return c.scanRemovableLowOn(clk)
+			}
+			return scanRemovableLowC(s.d.M, clk, s.t)
+		}},
+	pairDrivers: {"drivers", KindDrivers, ViewWin32Inside, ViewKernelAPL, 0,
+		highUnit(scanDriversHighC), clockUnit(scanDriversLowC)},
+}
+
+// pair returns row i of the pair table for this detector: the process
+// pair's nominal low view follows Advanced.
+func (d *Detector) pair(i int) pairSpec {
+	s := pairTable[i]
+	if i == pairProcs && d.Advanced {
+		s.lowView = ViewKernelCID
 	}
-	if d.Units.Has(UnitBootChain) {
-		specs = append(specs, pairSpec{"boot-chain", KindBootChain, ViewBootAPI, ViewBootRaw})
+	return s
+}
+
+// highUnit adapts a high-level scan, which goes through the hookable
+// API chain under the detector's identity, into a unit.
+func highUnit(scan func(*machine.Machine, *winapi.Call, *InternTable) (*ColumnarSnapshot, error)) unitFunc {
+	return func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) {
+		call, err := s.d.callOn(clk)
+		if err != nil {
+			return nil, err
+		}
+		return scan(s.d.M, call, s.t)
 	}
-	if d.Units.Has(UnitRemovable) {
-		specs = append(specs, pairSpec{"removable", KindFiles, ViewWin32Inside, ViewRawRemovable})
+}
+
+// clockUnit adapts a scan that charges the clock it is given, without
+// going through the API chain, into a unit.
+func clockUnit(scan func(*machine.Machine, *vtime.Clock, *InternTable) (*ColumnarSnapshot, error)) unitFunc {
+	return func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) { return scan(s.d.M, clk, s.t) }
+}
+
+// callOn builds a fresh API call under the detector's identity whose
+// traffic charges clk.
+func (d *Detector) callOn(clk *vtime.Clock) (*winapi.Call, error) {
+	var call *winapi.Call
+	if d.AsProcess == "" {
+		call = d.M.SystemCall()
+	} else {
+		var err error
+		if call, err = d.M.CallAs(d.AsProcess); err != nil {
+			return nil, err
+		}
 	}
-	return specs
+	call.Clock = clk
+	return call, nil
+}
+
+// sweep is the state one run shares with its units: the detector, the
+// interning table every snapshot indexes, the MFT decode shard bound,
+// and the truth pid list both module units read.
+type sweep struct {
+	d        *Detector
+	t        *InternTable
+	workers  int
+	pids     []uint64
+	pidsErr  error
+	pidsDone bool
+}
+
+// truthPids computes the truth pid list once per run. The single-lane
+// path computes it lazily, on the first module unit; the forked path
+// computes it before forking, so lanes only read it.
+func (s *sweep) truthPids() ([]uint64, error) {
+	if !s.pidsDone {
+		s.pids, s.pidsErr = TruthPids(s.d.M)
+		s.pidsDone = true
+	}
+	return s.pids, s.pidsErr
 }
 
 // unitName labels unit u for errors and DegradedUnits entries.
@@ -337,108 +377,23 @@ var errDeadline = errors.New("core: scan deadline exceeded")
 // committing a partial verdict.
 var ErrCancelled = errors.New("core: scan cancelled")
 
-// scanUnits builds the eight unit closures in report order, high before
-// low within each pair. Every unit interns into the shared table t
-// (resolved by the caller before any forking — the table itself is
-// concurrency-safe, but the lazy init in d.table is not). pids resolves
-// the truth pid list both module units share: the parallel path
-// precomputes it before forking (on the machine clock, as before), the
-// sequential path computes it lazily so the call/pids charge order of
-// the original ScanModules is preserved.
-func (d *Detector) scanUnits(workers int, t *InternTable, pids func() ([]uint64, error), specs []pairSpec) []func(*vtime.Clock) (*ColumnarSnapshot, error) {
-	highUnit := func(scan func(*machine.Machine, *winapi.Call, *InternTable) (*ColumnarSnapshot, error)) func(*vtime.Clock) (*ColumnarSnapshot, error) {
-		return func(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-			call, err := d.callOn(clk)
-			if err != nil {
-				return nil, err
-			}
-			return scan(d.M, call, t)
-		}
-	}
-	// The raw-MFT unit dominates a cold sweep, so it additionally shards
-	// its record decode across the lane bound (the other lanes' units are
-	// small and finish early, freeing cores for the decode shards).
-	units := make([]func(*vtime.Clock) (*ColumnarSnapshot, error), 0, 2*len(specs))
-	units = append(units,
-		highUnit(scanFilesHighC),
-		func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return d.lowFilesC(clk, workers, t) },
-		highUnit(scanASEPHighC),
-		func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return d.lowASEPsC(clk, t) },
-		highUnit(scanProcsHighC),
-		func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return scanProcsLowC(d.M, d.Advanced, clk, t) },
-		func(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-			call, err := d.callOn(clk)
-			if err != nil {
-				return nil, err
-			}
-			p, err := pids()
-			if err != nil {
-				return nil, err
-			}
-			return scanModsHighC(d.M, call, p, t)
-		},
-		func(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-			p, err := pids()
-			if err != nil {
-				return nil, err
-			}
-			return scanModsLowC(d.M, p, clk, t)
-		},
-	)
-	for _, s := range specs[numScanUnits/2:] {
-		switch s.name {
-		case "kmem-carve":
-			units = append(units,
-				func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return scanCrossMemHighC(d.M, clk, t) },
-				func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return scanCrossMemLowC(d.M, clk, t) },
-			)
-		case "boot-chain":
-			units = append(units,
-				highUnit(scanBootHighC),
-				func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return scanBootLowC(d.M, clk, t) },
-			)
-		case "removable":
-			units = append(units,
-				highUnit(scanRemovableHighC),
-				func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return d.lowRemovableC(clk, t) },
-			)
-		}
-	}
-	return units
-}
-
-// lowRemovableC routes the removable truth scan through the cache when
-// one is attached.
-func (d *Detector) lowRemovableC(clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
-	if d.Cache != nil {
-		return d.Cache.scanRemovableLowOn(clk)
-	}
-	return scanRemovableLowC(d.M, clk, t)
-}
-
 // runUnit executes one unit with panic recovery: a panicking scanner
 // becomes a unit error (degrading the pair under Contain) instead of
 // tearing down the whole sweep.
-func runUnit(name string, clk *vtime.Clock, run func(*vtime.Clock) (*ColumnarSnapshot, error)) (snap *ColumnarSnapshot, err error) {
+func runUnit(name string, s *sweep, clk *vtime.Clock, run unitFunc) (snap *ColumnarSnapshot, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			snap, err = nil, fmt.Errorf("core: scan unit %s panicked: %v", name, r)
 		}
 	}()
-	return run(clk)
-}
-
-// overDeadline reports whether the sweep's virtual-time budget is spent
-// on the given clock.
-func (d *Detector) overDeadline(clk *vtime.Clock, sweepStart time.Duration) bool {
-	return d.Deadline > 0 && clk.Now()-sweepStart > d.Deadline
+	return run(s, clk)
 }
 
 // abandonUnit reports whether the next unit should be abandoned rather
 // than started, and with which marker error: virtual-time budget spent,
 // or external cancellation.
 func (d *Detector) abandonUnit(clk *vtime.Clock, sweepStart time.Duration) error {
-	if d.overDeadline(clk, sweepStart) {
+	if d.Deadline > 0 && clk.Now()-sweepStart > d.Deadline {
 		return errDeadline
 	}
 	if d.Cancel != nil {
@@ -451,89 +406,71 @@ func (d *Detector) abandonUnit(clk *vtime.Clock, sweepStart time.Duration) error
 	return nil
 }
 
-// scanAllSequential runs the eight units in order on the machine clock.
-// Without Contain it fails fast — the first unit error aborts the sweep
-// before later units charge any time, exactly as the historical
-// per-resource scan methods did.
-func (d *Detector) scanAllSequential(genStart uint64, sweepStart time.Duration) ([]*Report, error) {
-	var pids []uint64
-	var pidsErr error
-	pidsDone := false
-	pidsOnce := func() ([]uint64, error) {
-		if !pidsDone {
-			pids, pidsErr = TruthPids(d.M)
-			pidsDone = true
-		}
-		return pids, pidsErr
-	}
-	specs := d.pairSpecs()
-	units := d.scanUnits(1, d.table(), pidsOnce, specs)
-	snaps := make([]*ColumnarSnapshot, len(units))
-	errs := make([]error, len(units))
+// run is the one scan-unit runner: it runs both units of every pair in
+// specs and assembles one report per pair. Unit 2i is pair i's high
+// scan, unit 2i+1 its low scan; OrderSeed permutes their execution
+// order. The units are statically assigned round-robin to
+// clamp(Parallelism, 1, units) virtual-time lanes (execution slot k
+// runs on lane k mod lanes), so every unit's virtual cost and Elapsed
+// are the same for any lane count — the assignment never depends on
+// goroutine scheduling.
+//
+// One lane runs inline on the machine clock and, without Contain, fails
+// fast: the first unit error ends the run before later units charge any
+// time. More lanes fork the machine clock into a region, one goroutine
+// per lane; joining it advances the machine clock by the longest lane,
+// which is exactly the wall-clock a set of concurrent scanners would
+// have cost.
+func (d *Detector) run(specs []pairSpec) ([]*Report, error) {
+	genStart := d.M.Disk.Generation()
+	sweepStart := d.M.Clock.Now()
+	n := 2 * len(specs)
+	lanes := min(max(d.Parallelism, 1), n)
+	s := &sweep{d: d, t: d.table(), workers: lanes}
 	var permBuf [maxScanUnits]int
-	perm := permBuf[:len(units)]
+	perm := permBuf[:n]
 	scanOrder(perm, d.OrderSeed)
-	for _, u := range perm {
-		if abandon := d.abandonUnit(d.M.Clock, sweepStart); abandon != nil {
-			errs[u] = abandon
-		} else {
-			snaps[u], errs[u] = runUnit(unitName(specs, u), d.M.Clock, units[u])
-		}
-		if errs[u] != nil && !d.Contain {
-			return nil, fmt.Errorf("core: %s scan: %w", specs[u/2].name, errs[u])
-		}
-	}
-	return d.assemble(specs, snaps, errs, genStart)
-}
-
-// scanAllParallel is the fan-out sweep. The eight scan units are
-// statically assigned round-robin to `lanes` virtual-time lanes
-// (unit j runs on lane j mod lanes); each lane is one goroutine running
-// its units in order and charging the lane's clock, so every unit's
-// virtual cost and Elapsed are identical to the sequential path — the
-// assignment never depends on goroutine scheduling. Joining the region
-// advances the machine clock by the longest lane, which is exactly the
-// wall-clock a set of concurrent scanners would have cost.
-func (d *Detector) scanAllParallel(lanes int, genStart uint64, sweepStart time.Duration) ([]*Report, error) {
-	// The truth pid list feeds both module units; compute it once before
-	// forking, as the sequential ScanModules does.
-	pids, pidsErr := TruthPids(d.M)
-	if pidsErr != nil && !d.Contain {
-		return nil, fmt.Errorf("core: modules scan: %w", pidsErr)
-	}
-	pidsOnce := func() ([]uint64, error) { return pids, pidsErr }
-	specs := d.pairSpecs()
-	units := d.scanUnits(lanes, d.table(), pidsOnce, specs)
-	var permBuf [maxScanUnits]int
-	perm := permBuf[:len(units)]
-	scanOrder(perm, d.OrderSeed)
-	var (
-		snaps  = make([]*ColumnarSnapshot, len(units))
-		errs   = make([]error, len(units))
-		region = d.M.Clock.Fork(lanes)
-		wg     sync.WaitGroup
-	)
-	for lane := 0; lane < lanes; lane++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			clk := region.Lane(lane)
-			for k := lane; k < len(units); k += lanes {
-				u := perm[k]
-				if abandon := d.abandonUnit(clk, sweepStart); abandon != nil {
-					errs[u] = abandon
-					continue
-				}
-				snaps[u], errs[u] = runUnit(unitName(specs, u), clk, units[u])
+	snaps := make([]*ColumnarSnapshot, n)
+	errs := make([]error, n)
+	runLane := func(lane int, clk *vtime.Clock) {
+		for k := lane; k < n; k += lanes {
+			u := perm[k]
+			if errs[u] = d.abandonUnit(clk, sweepStart); errs[u] == nil {
+				snaps[u], errs[u] = runUnit(unitName(specs, u), s, clk, specs[u/2].unit(u))
 			}
-		}(lane)
+			if errs[u] != nil && !d.Contain && lanes == 1 {
+				return
+			}
+		}
 	}
-	wg.Wait()
-	region.Join()
+	if lanes == 1 {
+		runLane(0, d.M.Clock)
+	} else {
+		// The module units share the truth pid list: compute it on the
+		// machine clock before forking, so lanes only read it.
+		for _, spec := range specs {
+			if spec.kind == KindModules {
+				if _, err := s.truthPids(); err != nil && !d.Contain {
+					return nil, fmt.Errorf("core: %s scan: %w", spec.name, err)
+				}
+			}
+		}
+		region := d.M.Clock.Fork(lanes)
+		var wg sync.WaitGroup
+		for lane := 0; lane < lanes; lane++ {
+			wg.Add(1)
+			go func(lane int) {
+				defer wg.Done()
+				runLane(lane, region.Lane(lane))
+			}(lane)
+		}
+		wg.Wait()
+		region.Join()
+	}
 	if !d.Contain {
-		for u := range units {
-			if errs[u] != nil {
-				return nil, fmt.Errorf("core: %s scan: %w", specs[u/2].name, errs[u])
+		for u, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("core: %s scan: %w", specs[u/2].name, err)
 			}
 		}
 	}
@@ -578,7 +515,7 @@ func (d *Detector) assemble(specs []pairSpec, snaps []*ColumnarSnapshot, errs []
 				})
 			}
 		}
-		if i == 0 && diskMoved && r != nil && len(r.DegradedUnits) == 0 {
+		if spec.lowView == ViewRawMFT && diskMoved && r != nil && len(r.DegradedUnits) == 0 {
 			// The filesystem changed under the sweep: a file created
 			// between the high walk and the raw parse shows up low-only
 			// without being hidden. Cross-view findings from this pair

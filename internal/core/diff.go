@@ -162,21 +162,12 @@ func finishReport(r *Report, scanElapsed time.Duration, entries int, opts DiffOp
 	}
 }
 
-// SealedDiff is Diff plus a digest seal — the form every emission path
-// (detector scan methods, outside-the-box checks) uses. Diff itself
-// stays allocation-lean for callers that diff snapshots in a loop.
+// SealedDiff is Diff plus a digest seal — the form the outside-the-box
+// checks (WinPE, crash dump) emit; the detector's runner seals its own
+// reports after assembly. Diff itself stays allocation-lean for callers
+// that diff snapshots in a loop.
 func SealedDiff(high, low *Snapshot, opts DiffOptions) (*Report, error) {
 	r, err := Diff(high, low, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.Seal()
-	return r, nil
-}
-
-// sealedDiffColumnar is SealedDiff for the columnar engine.
-func sealedDiffColumnar(high, low *ColumnarSnapshot, opts DiffOptions) (*Report, error) {
-	r, err := DiffColumnar(high, low, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,8 @@ import (
 
 // scanDriversHighC lists loaded drivers through the (hookable) API chain.
 func scanDriversHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*ColumnarSnapshot, error) {
-	sw := vtime.NewStopwatch(m.Clock)
+	clk := clockFor(m, call)
+	sw := vtime.NewStopwatch(clk)
 	drvs, err := m.API.EnumDriversWin32(call)
 	if err != nil {
 		return nil, fmt.Errorf("core: high-level driver scan: %w", err)
@@ -30,15 +31,15 @@ func scanDriversHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*C
 		bld.AddRow(sym, d.Path, t.InternStrBytes(detBuf))
 	}
 	snap := bld.Build()
-	m.Clock.ChargeOps(int64(len(drvs)), costPerModule)
-	snap.Taken = m.Clock.Now()
+	clk.ChargeOps(int64(len(drvs)), costPerModule)
+	snap.Taken = clk.Now()
 	snap.Elapsed = sw.Elapsed()
 	return snap, nil
 }
 
 // scanDriversLowC walks the kernel's loaded-module list directly.
-func scanDriversLowC(m *machine.Machine, t *InternTable) (*ColumnarSnapshot, error) {
-	sw := vtime.NewStopwatch(m.Clock)
+func scanDriversLowC(m *machine.Machine, clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
+	sw := vtime.NewStopwatch(clk)
 	drvs, err := m.Kern.Drivers()
 	if err != nil {
 		return nil, fmt.Errorf("core: low-level driver scan: %w", err)
@@ -52,30 +53,10 @@ func scanDriversLowC(m *machine.Machine, t *InternTable) (*ColumnarSnapshot, err
 		bld.AddRow(sym, d.Path, t.InternStrBytes(detBuf))
 	}
 	snap := bld.Build()
-	m.Clock.ChargeOps(int64(len(drvs)), costPerModule)
-	snap.Taken = m.Clock.Now()
+	clk.ChargeOps(int64(len(drvs)), costPerModule)
+	snap.Taken = clk.Now()
 	snap.Elapsed = sw.Elapsed()
 	return snap, nil
-}
-
-// ScanDrivers diffs the driver views, exposing rootkits that filter the
-// driver-enumeration API (a natural next step for Hacker Defender-style
-// rootkits once AskStrider made the visible driver a liability, §4).
-func (d *Detector) ScanDrivers() (*Report, error) {
-	call, err := d.call()
-	if err != nil {
-		return nil, err
-	}
-	t := d.table()
-	high, err := scanDriversHighC(d.M, call, t)
-	if err != nil {
-		return nil, err
-	}
-	low, err := scanDriversLowC(d.M, t)
-	if err != nil {
-		return nil, err
-	}
-	return sealedDiffColumnar(high, low, d.Opts)
 }
 
 // DeletedFile is one stale MFT record recovered forensically.

@@ -117,8 +117,8 @@ type Manager struct {
 	// million hosts is O(n log n) total instead of O(n² log n).
 	sorted bool
 	// HostParallelism is the intra-host fan-out: each inside scan runs
-	// its eight scan units across this many lanes (core.Detector
-	// Parallelism). Zero or one keeps per-host scans sequential.
+	// its scan units (eight, up to fourteen with every next-generation
+	// pair) across this many lanes (core.Detector Parallelism). Zero or one keeps per-host scans sequential.
 	HostParallelism int
 	// MaxRetries grants each failed or degraded host scan this many
 	// additional attempts within one sweep (transient faults — a torn

@@ -15,7 +15,8 @@ type FleetOptions struct {
 	// Parallelism is the sweep's worker-pool width; zero keeps the
 	// scheduler default (GOMAXPROCS).
 	Parallelism int
-	// HostParallelism fans each host's eight scan units across lanes.
+	// HostParallelism fans each host's scan units (eight, up to
+	// fourteen with every next-generation pair) across lanes.
 	HostParallelism int
 	Breaker         *Breaker
 }

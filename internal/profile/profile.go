@@ -100,7 +100,8 @@ type Profile struct {
 
 	// Workers bounds concurrent host scans in a sweep.
 	Workers int `json:"workers"`
-	// HostParallelism fans each host's eight scan units across lanes.
+	// HostParallelism fans each host's scan units (eight, up to
+	// fourteen with every next-generation pair) across lanes.
 	HostParallelism int `json:"hostParallelism"`
 	// RetryBackoff is the first retry wait (doubling, saturating at
 	// fleet.MaxRetryBackoff); zero takes the fleet default.

@@ -43,6 +43,17 @@ echo "==> next-gen family matrix under -race (evasive differential, naive-miss/c
 go test -race -run 'TestEvasive|TestNextGenNaiveMissCounterCatch|TestChaosBootRemovableLoudNeverSilent' ./internal/ghostfuzz/
 go test -race -run 'TestRemovableHotplugTriggersDeltaSweep' ./internal/daemon/
 
+echo "==> detector option matrix under -race (every option through every scan method; multi-lane cells fork lanes)"
+go test -race -run 'TestDetectorOptionMatrix' ./internal/core/
+
+echo "==> single-pair CLI scan honours -contain and -order-seed (exit 1 = infection found)"
+bin=$(mktemp -d)
+go build -o "$bin/ghostbuster" ./cmd/ghostbuster
+rc=0
+"$bin/ghostbuster" -infect "Hacker Defender 1.0" -scan files -contain -order-seed 3 > /dev/null || rc=$?
+rm -rf "$bin"
+test "$rc" -eq 1
+
 echo "==> randomized-order alloc gate (nonzero OrderSeed adds nothing per entry to the warm diff path)"
 go test -run 'TestScanOrderAllocs|TestOrderedWarmSweepAllocs' ./internal/core/
 
